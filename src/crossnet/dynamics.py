@@ -1,4 +1,4 @@
-"""Nonlinear network dynamics: model right-hand sides and time integration.
+"""Nonlinear network dynamics: the model right-hand side and time integration.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and first-same-as-last reuse.  Runs stop early once the infinity
@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import IntegrationError
-from .stability import Equilibrium, GeneralModel, SktParams
+from .stability import Equilibrium, GeneralModel, SktParams, skt_to_general
 from .rng import rng_from
 from .textio import fmt_float
 
@@ -25,8 +25,7 @@ __all__ = [
     "NetworkState",
     "SimulationResult",
     "reaction_terms",
-    "rhs_skt",
-    "rhs_general",
+    "rhs",
     "integrate",
     "simulate_skt",
     "perturb_homogeneous",
@@ -102,35 +101,15 @@ def reaction_terms(u: np.ndarray, v: np.ndarray, p) -> tuple[np.ndarray, np.ndar
     return fu, gv
 
 
-def rhs_skt(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the competition model on a network.
+def rhs(u: np.ndarray, v: np.ndarray, m: GeneralModel, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative of the model ``m`` on a network with Laplacian ``lap``.
 
-    du_i = f(u_i, v_i) - d*(L u)_i - d11*(L u^2)_i - d12*(L uv)_i and
-    symmetrically for v with d22 and d21.  Zero-coefficient transport terms
-    are skipped; that changes no bits because subtracting an exact zero is
-    exact.
+    du_i = f(u_i, v_i) - d1*(L u)_i - d11*(L s1(u) u)_i - d12*(L c1(v) u)_i
+    and symmetrically for v with d2, d22 and d21.  For the competition model
+    (``skt_to_general``) this is du_i = f - d*(L u)_i - d11*(L u^2)_i -
+    d12*(L uv)_i.  Zero-coefficient transport terms are skipped; that changes
+    no bits because subtracting an exact zero is exact.
     """
-    if u.shape != v.shape or lap.shape != (u.size, u.size):
-        raise ValueError(f"shape mismatch: u {u.shape}, v {v.shape}, laplacian {lap.shape}")
-    fu, gv = reaction_terms(u, v, p)
-    du = fu
-    dv = gv
-    if p.d != 0.0:
-        du = du - p.d * (lap @ u)
-        dv = dv - p.d * (lap @ v)
-    if p.d11 != 0.0:
-        du = du - p.d11 * (lap @ (u * u))
-    if p.d12 != 0.0:
-        du = du - p.d12 * (lap @ (u * v))
-    if p.d22 != 0.0:
-        dv = dv - p.d22 * (lap @ (v * v))
-    if p.d21 != 0.0:
-        dv = dv - p.d21 * (lap @ (u * v))
-    return du, dv
-
-
-def rhs_general(u: np.ndarray, v: np.ndarray, m: GeneralModel, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the general model with density-dependent transport."""
     if u.shape != v.shape or lap.shape != (u.size, u.size):
         raise ValueError(f"shape mismatch: u {u.shape}, v {v.shape}, laplacian {lap.shape}")
     du = m.f(u, v)
@@ -171,13 +150,14 @@ _BETA2 = 0.4 / 5.0
 class _SampleBuffer:
     """Accepted-step samples with on-the-fly decimation to a bounded count."""
 
-    def __init__(self, sample_dt: float | None):
+    def __init__(self, sample_dt: float | None, t0: float, y0: np.ndarray):
         self.sample_dt = sample_dt
         self.times: list[float] = []
         self.states: list[np.ndarray] = []
         self._stride = 1
         self._count = 0
-        self._next_time = 0.0
+        self._next_time = t0 if sample_dt is None else t0 + sample_dt
+        self.record(t0, y0, force=True)
 
     def record(self, t: float, y: np.ndarray, force: bool = False) -> None:
         if not force:
@@ -235,10 +215,7 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
 
     t = float(init.t)
     t_end = t + cfg.t_max
-    buffer = _SampleBuffer(cfg.sample_dt)
-    buffer.record(t, y, force=True)
-    if cfg.sample_dt is not None:
-        buffer._next_time = t + cfg.sample_dt
+    buffer = _SampleBuffer(cfg.sample_dt, t, y)
 
     k = np.empty((7, 2 * n))
     k[0] = f(y)
@@ -333,7 +310,8 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
 
 
 def simulate_skt(p: SktParams, lap: np.ndarray, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig()) -> SimulationResult:
-    return integrate(lambda u, v: rhs_skt(u, v, p, lap), init, cfg)
+    m = skt_to_general(p)
+    return integrate(lambda u, v: rhs(u, v, m, lap), init, cfg)
 
 
 def perturb_homogeneous(

@@ -25,11 +25,9 @@ __all__ = [
     "path_spectrum_closed_form",
     "algebraic_connectivity",
     "check_connectivity_bound",
-    "ensemble_spectrum_stats",
     "ensemble_eigenvalues",
     "stats_from_eigenvalues",
     "write_spectrum_csv",
-    "write_ensemble_csv",
 ]
 
 
@@ -113,24 +111,6 @@ def check_connectivity_bound(g: Graph, spectrum: Spectrum | np.ndarray, tol: flo
     return algebraic_connectivity(spectrum) <= 2.0 * g.n_edges / (g.n_nodes - 1) + tol
 
 
-def ensemble_spectrum_stats(
-    spec: GraphSpec,
-    realizations: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> SpectralStats:
-    """Sorted-eigenvalue statistics over seeded realizations of a graph spec.
-
-    Realization ``i`` uses the seed derived from (master_seed, i), so the
-    result is a pure function of (spec, realizations, master_seed) and does
-    not depend on ``threads`` or on scheduling order.
-    """
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
-    eigs = ensemble_eigenvalues(spec, realizations, master_seed, threads)
-    return stats_from_eigenvalues(eigs)
-
-
 def stats_from_eigenvalues(eigs: np.ndarray) -> SpectralStats:
     """Per-index mean/variance over realization rows.
 
@@ -171,12 +151,3 @@ def write_spectrum_csv(spectrum: Spectrum | np.ndarray, path) -> None:
         fh.write("index,eigenvalue\n")
         for i, val in enumerate(values):
             fh.write(f"{i},{fmt_float(val)}\n")
-
-
-def write_ensemble_csv(stats: SpectralStats, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,mean,variance,realizations\n")
-        for i in range(stats.mean.size):
-            fh.write(
-                f"{i},{fmt_float(stats.mean[i])},{fmt_float(stats.variance[i])},{stats.realizations}\n"
-            )

@@ -29,8 +29,7 @@ __all__ = [
     "GeneralModel",
     "coexistence_equilibrium",
     "jacobian_at_equilibrium",
-    "diffusion_linearization_skt",
-    "diffusion_linearization_general",
+    "diffusion_linearization",
     "jacobian_general",
     "equilibrium",
     "characteristic_matrix",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _SCAN_STEP = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,6 @@ def jacobian_at_equilibrium(p: SktParams, eq: tuple[float, float]) -> np.ndarray
     return np.array([[-p.a1 * u, -p.b1 * u], [-p.b2 * v, -p.a2 * v]])
 
 
-def diffusion_linearization_skt(p: SktParams, eq: tuple[float, float]) -> np.ndarray:
-    """Linearized transport matrix of the cross-diffusion system at ``eq``.
-
-    ``[[d + d12*v, d12*u], [d21*v, d + d21*u]]``; self-diffusion is taken to
-    be zero here (that is the system the instability analysis targets; use
-    the general-model variant when d11/d22 matter).
-    """
-    u, v = eq
-    return np.array([[p.d + p.d12 * v, p.d12 * u], [p.d21 * v, p.d + p.d21 * u]])
-
-
 @dataclass(frozen=True)
 class Equilibrium:
     """Coexistence state together with both 2x2 linearizations."""
@@ -140,7 +129,7 @@ class Equilibrium:
 def equilibrium(p: SktParams) -> Equilibrium:
     uv = coexistence_equilibrium(p)
     j = jacobian_at_equilibrium(p, uv)
-    d = diffusion_linearization_skt(p, uv)
+    d = diffusion_linearization(skt_to_general(p), uv)
     return Equilibrium(
         u_star=uv[0],
         v_star=uv[1],
@@ -169,18 +158,35 @@ def dispersion_growth_rate(j_star: np.ndarray, d_star: np.ndarray, lam: float) -
     return 0.5 * tr
 
 
+def _det2(m: np.ndarray) -> float:
+    """2x2 determinant, exactly zero when below the rounding error of its products.
+
+    Without self-diffusion the cross-diffusion part of the transport matrix
+    is singular by construction; the guard keeps that zero exact instead of
+    leaving a rounding residue of either sign.
+    """
+    ad = m[0, 0] * m[1, 1]
+    bc = m[0, 1] * m[1, 0]
+    det = ad - bc
+    return 0.0 if abs(det) <= 4.0 * _EPS * (abs(ad) + abs(bc)) else float(det)
+
+
 @dataclass(frozen=True)
 class InstabilityReport:
     """Everything the mode analysis produces for one parameter set.
 
-    ``alpha = v*(b2*u - a2*v)`` and ``beta = u*(b1*v - a1*u)`` are the
-    equilibrium factors multiplying the two cross-diffusion coefficients in
-    the zero-linear-diffusion determinant; ``cross_gain = d12*alpha +
-    d21*beta`` decides whether cross-diffusion can destabilize at all.
     ``lambda_quad`` holds (qa, qb, qc) with
     ``det(M) = qa*lam^2 + qb*lam + qc``; ``region`` is the open interval of
-    Laplacian eigenvalues with negative determinant, when it exists, and
-    ``lambda_star`` the zero-linear-diffusion onset threshold det(J)/cross_gain.
+    Laplacian eigenvalues with negative determinant, when it exists.  The
+    region accounts for every transport coefficient and alone decides
+    instability.
+
+    ``alpha = v*(b2*u - a2*v)`` and ``beta = u*(b1*v - a1*u)`` are the
+    equilibrium factors multiplying the two cross-diffusion coefficients in
+    the determinant, ``cross_gain = d12*alpha + d21*beta``, and
+    ``lambda_star = det(J)/cross_gain`` the onset threshold.  These three are
+    cross-diffusion-only quantities: they describe the determinant exactly
+    when ``d = d11 = d22 = 0``.
     """
 
     params: SktParams
@@ -197,12 +203,14 @@ class InstabilityReport:
     unstable_modes: tuple[int, ...] | None = None
 
     def det_coeffs_in_d(self, lam: float) -> tuple[float, float, float]:
-        """(A, B, C) with det(M) = A*d^2 + B*d + C at fixed mode eigenvalue."""
-        p = self.params
-        a = lam * lam
-        b = (p.d12 * self.v_star + p.d21 * self.u_star) * lam * lam - self.trace_j * lam
-        c = -self.cross_gain * lam + self.det_j
-        return a, b, c
+        """(A, B, C) with det(M) = A*d^2 + B*d + C at fixed mode eigenvalue.
+
+        With ``D = d*I + D0`` and ``M0 = J - lam*D0``,
+        ``det(M) = det(M0 - lam*d*I) = lam^2*d^2 - lam*tr(M0)*d + det(M0)``.
+        """
+        eq = equilibrium(self.params)
+        m0 = eq.j_star - lam * (eq.d_star - self.params.d * np.eye(2))
+        return lam * lam, -lam * float(m0[0, 0] + m0[1, 1]), _det2(m0)
 
     def det_in_lambda(self, lam: float) -> float:
         qa, qb, qc = self.lambda_quad
@@ -210,7 +218,7 @@ class InstabilityReport:
 
 
 def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityReport:
-    """Both closed-form expansions of the characteristic determinant.
+    """Both expansions of the characteristic determinant.
 
     Requires weak competition (otherwise the uniform mode itself is
     already unstable and the mode window is meaningless).
@@ -223,8 +231,14 @@ def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityR
     alpha = v * (p.b2 * u - p.a2 * v)
     beta = u * (p.b1 * v - p.a1 * u)
     cross_gain = p.d12 * alpha + p.d21 * beta
-    qa = p.d * (p.d + p.d12 * v + p.d21 * u)
-    qb = -(cross_gain + p.d * eq.trace_j)
+    # det(J - lam*(d*I + D0)) expanded in lam, with D0 the transport without
+    # plain diffusion; expanding in d as well keeps qa accurate for small d,
+    # where det(D) itself would cancel
+    j = eq.j_star
+    d0 = eq.d_star - p.d * np.eye(2)
+    mixed = j[0, 0] * d0[1, 1] + j[1, 1] * d0[0, 0] - j[0, 1] * d0[1, 0] - j[1, 0] * d0[0, 1]
+    qa = p.d * (p.d + float(d0[0, 0] + d0[1, 1])) + _det2(d0)
+    qb = -(float(mixed) + p.d * eq.trace_j)
     qc = eq.det_j
 
     lambda_star = eq.det_j / cross_gain if cross_gain > 0.0 else None
@@ -238,8 +252,9 @@ def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityR
             roots = sorted((qc / q, q / qa))
             region = (float(roots[0]), float(roots[1]))
     elif qa == 0.0 and qb < 0.0:
-        # no plain diffusion: determinant is linear in the mode value and the
-        # unstable window is unbounded above
+        # singular transport matrix (no plain or self-diffusion): the
+        # determinant is linear in the mode value and the unstable window is
+        # unbounded above
         region = (float(qc / -qb), math.inf)
 
     return InstabilityReport(
@@ -414,8 +429,12 @@ def jacobian_general(m: GeneralModel, state: tuple[float, float]) -> np.ndarray:
     )
 
 
-def diffusion_linearization_general(m: GeneralModel, state: tuple[float, float]) -> np.ndarray:
-    """Linearized transport matrix of the general model at ``state``."""
+def diffusion_linearization(m: GeneralModel, state: tuple[float, float]) -> np.ndarray:
+    """Linearized transport matrix of ``m`` at ``state``.
+
+    The derivative of the fluxes with respect to (u, v); for the competition
+    model this is ``[[d + 2*d11*u + d12*v, d12*u], [d21*v, d + 2*d22*v + d21*u]]``.
+    """
     u, v = state
     s1u = m.s1(u)
     s2v = m.s2(v)
@@ -427,11 +446,11 @@ def diffusion_linearization_general(m: GeneralModel, state: tuple[float, float])
 
 
 def skt_to_general(p: SktParams) -> GeneralModel:
-    """The competition model expressed in the general framework.
+    """The competition model as a general model.
 
-    Identity couplings with analytic unit derivatives, so the general
-    linearization reproduces ``diffusion_linearization_skt`` exactly when
-    self-diffusion vanishes.
+    Identity couplings with analytic unit derivatives, so both the network
+    right-hand side and the transport linearization are exact polynomials in
+    the coefficients.
     """
     return GeneralModel(
         f=lambda u, v: u * (p.r1 - p.a1 * u - p.b1 * v),

@@ -39,10 +39,11 @@ from crossnet import (
     path_spectrum_closed_form,
     pattern_metrics,
     perturb_homogeneous,
-    rhs_skt,
+    rhs,
     ring_spectrum_closed_form,
     ring_sweep,
     simulate_skt,
+    skt_to_general,
     stencil_rhs,
 )
 from crossnet.rng import rng_from
@@ -327,7 +328,7 @@ def test_criterion_11_stencil_matches_network_rhs():
             u = rng.uniform(0.0, 5.0, n)
             v = rng.uniform(0.0, 5.0, n)
             fu_s, fv_s = stencil_rhs(u, v, pde)
-            fu_n, fv_n = rhs_skt(u, v, net_params, lap)
+            fu_n, fv_n = rhs(u, v, skt_to_general(net_params), lap)
             for s_side, n_side in ((fu_s, fu_n), (fv_s, fv_n)):
                 scale = max(1.0, float(np.abs(n_side).max()))
                 worst_rel = max(worst_rel, float(np.abs(s_side - n_side).max()) / scale)

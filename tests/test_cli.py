@@ -1,11 +1,24 @@
 """End-to-end CLI behavior through main(); no subprocesses needed."""
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crossnet import (
+    build_graph,
+    build_laplacian,
+    equilibrium,
+    pattern_metrics,
+    perturb_homogeneous,
+    simulate_skt,
+)
 from crossnet.cli import main
+from crossnet.config import load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +85,24 @@ def test_stability_command_benchmark(capsys, tmp_path):
     assert report["u_star"] == 1.625
     assert report["trace_J"] == -5.25
     assert report["lambda_star_1"] == pytest.approx(7.302604081817508, rel=1e-12)
+
+
+def test_stability_with_self_diffusion_matches_simulation(capsys, tmp_path):
+    # self-diffusion closes the default window; the report must say so and the
+    # simulation with the same configuration must relax to the uniform state
+    override = "skt.d11=0.5"
+    code, _ = run_cli(capsys, "stability", "--output-dir", str(tmp_path / "sd"), "--set", override)
+    assert code == 0
+    report = json.loads((tmp_path / "sd" / "report.json").read_text())
+    assert report["unstable_modes"] == []
+    assert report["lambda_star_1"] is None
+    cfg, _ = load_config(None, [override, "integrator.steady_state_tol=1e-6"])
+    eq = equilibrium(cfg.skt)
+    lap = build_laplacian(build_graph(cfg.graph))
+    init = perturb_homogeneous(eq, lap.shape[0], cfg.experiment.perturbation, seed=0)
+    res = simulate_skt(cfg.skt, lap, init, cfg.integrator)
+    assert res.converged
+    assert pattern_metrics(res.final, eq).heterogeneity < 1e-4
 
 
 def test_simulate_command_and_files(capsys, tmp_path):
@@ -180,3 +211,21 @@ def test_master_seed_flag_equivalent_to_set(capsys, tmp_path):
     code2, out_set = run_cli(capsys, "config", "dump", "--set", "master_seed=11")
     assert code == code2 == 0
     assert out_flag == out_set
+
+
+def _readme_examples() -> list[list[str]]:
+    block = README.read_text().split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln) for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "argv", _readme_examples(), ids=lambda argv: "-".join(a for a in argv[1:3] if not a.startswith("-"))
+)
+def test_readme_example_runs(argv, capsys, tmp_path):
+    assert argv[0] == "crossnet"
+    args = argv[1:]
+    args[args.index("--output-dir") + 1] = str(tmp_path / "out")
+    if args[0] == "ensemble":
+        args += ["--set", "experiment.realizations=20"]
+    assert main(args) == 0, capsys.readouterr().out

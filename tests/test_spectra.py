@@ -12,12 +12,10 @@ from crossnet import (
     build_laplacian,
     check_connectivity_bound,
     eig_symmetric,
-    ensemble_spectrum_stats,
     gen_path,
     gen_ring,
     path_spectrum_closed_form,
     ring_spectrum_closed_form,
-    write_ensemble_csv,
     write_spectrum_csv,
 )
 from crossnet.spectra import ensemble_eigenvalues, stats_from_eigenvalues
@@ -154,7 +152,7 @@ def test_ensemble_thread_count_does_not_change_results():
 
 def test_ensemble_stats_identical_rows_give_exact_zero_variance():
     spec = GraphSpec(family="watts-strogatz", n=20, k=2, p=0.0)
-    stats = ensemble_spectrum_stats(spec, 25, master_seed=0)
+    stats = stats_from_eigenvalues(ensemble_eigenvalues(spec, 25, master_seed=0))
     assert np.all(stats.variance == 0.0)
     assert np.allclose(stats.mean, np.sort(ring_spectrum_closed_form(20, 2)), atol=1e-8)
     assert stats.realizations == 25
@@ -185,13 +183,3 @@ def test_spectrum_csv_round_trip(tmp_path):
     back = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
     assert np.array_equal(back, eigs)  # %.17g round-trips doubles
 
-
-def test_ensemble_csv_layout(tmp_path):
-    spec = GraphSpec(family="erdos-renyi", n=6, p=0.5)
-    stats = ensemble_spectrum_stats(spec, 4, master_seed=1)
-    path = tmp_path / "ens.csv"
-    write_ensemble_csv(stats, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,mean,variance,realizations"
-    assert len(lines) == 7
-    assert all(ln.endswith(",4") for ln in lines[1:])

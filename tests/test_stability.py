@@ -23,8 +23,7 @@ from crossnet import (
     coexistence_equilibrium,
     det_polynomials,
     det_sign_scan,
-    diffusion_linearization_general,
-    diffusion_linearization_skt,
+    diffusion_linearization,
     dispersion_growth_rate,
     equilibrium,
     instability_region,
@@ -202,6 +201,19 @@ def test_zero_plain_diffusion_gives_half_line():
     lo, hi = rep.region
     assert lo == pytest.approx(LAMBDA_STAR, rel=1e-12)
     assert np.isinf(hi)
+    # with d12, d21 > 0 the transport matrix is still singular; its
+    # determinant must be an exact zero, not a rounding residue of either sign
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        p = dataclasses.replace(_random_weak_params(rng), d=0.0)
+        rep = instability_region(p)
+        assert rep.lambda_quad[0] == 0.0
+        if rep.lambda_star is None:
+            assert rep.region is None
+        else:
+            lo, hi = rep.region
+            assert lo == pytest.approx(rep.lambda_star, rel=1e-9)
+            assert np.isinf(hi)
 
 
 def test_strong_competition_rejected():
@@ -236,18 +248,23 @@ def _random_weak_params(rng) -> SktParams:
 
 def test_both_expansions_match_direct_determinant():
     rng = np.random.default_rng(1234)
+    self_rng = np.random.default_rng(4321)  # keeps the shared parameter stream unchanged
     for _ in range(300):
         p = _random_weak_params(rng)
-        eq = equilibrium(p)
-        rep = det_polynomials(p, eq)
         lam = float(rng.uniform(0.0, 30.0))
-        direct = float(np.linalg.det(characteristic_matrix(eq.j_star, eq.d_star, lam)))
-        coeff_a, coeff_b, coeff_c = rep.det_coeffs_in_d(lam)
-        in_d = coeff_a * p.d**2 + coeff_b * p.d + coeff_c
-        in_lam = rep.det_in_lambda(lam)
-        scale = max(1.0, abs(direct))
-        assert abs(in_d - direct) <= 1e-10 * scale
-        assert abs(in_lam - direct) <= 1e-10 * scale
+        with_self = dataclasses.replace(
+            p, d11=float(self_rng.uniform(0.0, 1.0)), d22=float(self_rng.uniform(0.0, 1.0))
+        )
+        for q in (p, with_self):
+            eq = equilibrium(q)
+            rep = det_polynomials(q, eq)
+            direct = float(np.linalg.det(characteristic_matrix(eq.j_star, eq.d_star, lam)))
+            coeff_a, coeff_b, coeff_c = rep.det_coeffs_in_d(lam)
+            in_d = coeff_a * q.d**2 + coeff_b * q.d + coeff_c
+            in_lam = rep.det_in_lambda(lam)
+            scale = max(1.0, abs(direct))
+            assert abs(in_d - direct) <= 1e-10 * scale
+            assert abs(in_lam - direct) <= 1e-10 * scale
 
 
 def test_alpha_beta_reconstruction_identity():
@@ -335,18 +352,8 @@ def test_skt_embeds_into_general_model():
     state = (eq.u_star, eq.v_star)
     j_general = jacobian_general(m, state)
     assert np.allclose(j_general, eq.j_star, atol=1e-7)
-    d_general = diffusion_linearization_general(m, state)
+    d_general = diffusion_linearization(m, state)
     assert np.allclose(d_general, eq.d_star, atol=1e-7)
-
-
-def test_general_model_matches_at_random_states():
-    m = skt_to_general(P)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        u, v = rng.uniform(0.05, 3.0, size=2)
-        d_general = diffusion_linearization_general(m, (u, v))
-        d_skt = diffusion_linearization_skt(P, (u, v))
-        assert np.allclose(d_general, d_skt, atol=1e-7)
 
 
 def test_params_validation():
