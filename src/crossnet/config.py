@@ -182,6 +182,11 @@ def load_config_doc(path: str | None = None, overrides: list[str] | None = None)
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     if doc["graph"].get("seed") is None:
         doc["graph"]["seed"] = doc["master_seed"]
+    # a swept graph key needs no base value of its own: an unset one starts
+    # at the first swept value (sweep_values is checked by ExperimentConfig)
+    swept, values = doc["experiment"]["sweep_param"], doc["experiment"]["sweep_values"]
+    if swept in ("k", "n", "p") and doc["graph"].get(swept) is None and isinstance(values, list) and values:
+        doc["graph"][swept] = values[0]
     return doc
 
 

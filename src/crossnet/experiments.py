@@ -238,6 +238,8 @@ def _run_summary(run: SeedRunResult) -> dict:
         "reason": run.result.reason,
         "positivity_violated": run.result.positivity_violated,
         "steps_accepted": run.result.steps_accepted,
+        "steps_rejected": run.result.steps_rejected,
+        "rhs_evaluations": run.result.rhs_evaluations,
         "metrics": dataclasses.asdict(run.metrics),
     }
 

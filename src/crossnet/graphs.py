@@ -7,8 +7,10 @@ edge-list format.
 
 Conventions
 -----------
-Nodes are labeled ``0 .. n-1``.  Edges are unordered pairs stored as
-``(i, j)`` with ``i < j``.  For ring-based families (``ring``,
+Nodes are labeled ``0 .. n-1``.  A graph's edges are one read-only
+``(E, 2)`` int64 array whose rows ``(i, j)`` satisfy ``i < j`` and are in
+lexicographic order; validation, Laplacian assembly, degrees and
+connectivity all work on that array.  For ring-based families (``ring``,
 ``watts-strogatz``) the parameter ``k`` counts neighbors *per side*, so the
 node degree is ``2k``.  For ``regular-random`` graphs ``k`` is the full
 degree, and for ``barabasi-albert`` it is the number of edges attached by
@@ -16,6 +18,7 @@ each arriving node.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,43 +49,62 @@ def _norm(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: node count plus a canonical sorted edge tuple.
+def _canonical_edges(n: int, edges) -> np.ndarray:
+    """Validated, canonical, read-only copy of ``edges`` (see ``Graph``)."""
+    arr = np.array(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
+    i, j = arr[:, 0], arr[:, 1]
+    bad = np.flatnonzero(i == j)
+    if bad.size:
+        raise ValueError(f"self-loop at node {i[bad[0]]}")
+    bad = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    if bad.size:
+        raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for {n} nodes")
+    flipped = i > j
+    if flipped.any():
+        arr[flipped] = arr[flipped, ::-1]
+    keys = arr[:, 0] * n + arr[:, 1]
+    # generators mostly emit rows already in order; sort only when needed
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        arr, keys = arr[order], keys[order]
+        bad = np.flatnonzero(keys[1:] == keys[:-1])
+        if bad.size:
+            raise ValueError(f"duplicate edge {tuple(arr[bad[0]].tolist())}")
+    arr.flags.writeable = False
+    return arr
 
-    Rejects self-loops, duplicate edges and out-of-range labels at
-    construction time; edge order and endpoint order are normalized, so
-    two graphs with the same edge set compare equal.
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Simple undirected graph: node count plus a canonical edge array.
+
+    ``edges`` may be given as any sequence of pairs or an ``(E, 2)`` array;
+    it is stored as a read-only ``(E, 2)`` int64 array with ``i < j`` in
+    every row and rows in lexicographic order.  Self-loops, duplicate edges
+    (a reversed pair included) and out-of-range labels are rejected, so two
+    graphs with the same edge set compare equal.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
-        seen: set[tuple[int, int]] = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.n_nodes} nodes")
-            e = _norm(int(i), int(j))
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "edges", _canonical_edges(self.n_nodes, self.edges))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n_nodes == other.n_nodes and np.array_equal(self.edges, other.edges)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -153,15 +175,17 @@ def gen_ring(n: int, k: int) -> Graph:
         raise ValueError(f"ring requires n >= 3, got {n}")
     if not 1 <= k <= (n - 1) // 2:
         raise ValueError(f"ring requires 1 <= k <= (n-1)//2 = {(n - 1) // 2}, got k={k}")
-    edges = [_norm(i, (i + off) % n) for i in range(n) for off in range(1, k + 1)]
-    return Graph(n, tuple(edges))
+    i = np.repeat(np.arange(n), k)
+    j = (i + np.tile(np.arange(1, k + 1), n)) % n
+    return Graph(n, np.column_stack((i, j)))
 
 
 def gen_path(n: int) -> Graph:
     """Path of ``n >= 2`` nodes: edges (i, i+1)."""
     if n < 2:
         raise ValueError(f"path requires n >= 2, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    i = np.arange(n - 1)
+    return Graph(n, np.column_stack((i, i + 1)))
 
 
 def gen_lattice(kind: str, rows: int, cols: int) -> Graph:
@@ -178,32 +202,41 @@ def gen_lattice(kind: str, rows: int, cols: int) -> Graph:
     if rows < 2 or cols < 2:
         raise ValueError(f"lattice requires rows >= 2 and cols >= 2, got {rows}x{cols}")
 
-    def node(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((node(r, c), node(r, c + 1)))
-            if r + 1 < rows:
-                if kind in ("triangular", "square"):
-                    edges.append((node(r, c), node(r + 1, c)))
-                elif (r + c) % 2 == 0:
-                    edges.append((node(r, c), node(r + 1, c)))
-            if kind == "triangular" and r + 1 < rows and c + 1 < cols:
-                edges.append((node(r, c), node(r + 1, c + 1)))
-    return Graph(rows * cols, tuple(edges))
+    node = np.arange(rows * cols).reshape(rows, cols)
+    pairs = [(node[:, :-1], node[:, 1:])]  # horizontal
+    if kind == "hexagonal":
+        r, c = np.indices((rows - 1, cols))
+        even = (r + c) % 2 == 0
+        pairs.append((node[:-1][even], node[1:][even]))
+    else:
+        pairs.append((node[:-1], node[1:]))
+    if kind == "triangular":
+        pairs.append((node[:-1, :-1], node[1:, 1:]))
+    edges = [np.column_stack((a.ravel(), b.ravel())) for a, b in pairs]
+    return Graph(rows * cols, np.concatenate(edges))
 
 
-def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+# one table at a time: ensembles draw all realizations of one n in a row,
+# and the table for n = 4000 alone takes 128 MB
+@functools.lru_cache(maxsize=1)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only (n(n-1)/2, 2) table of the pairs i < j, row-major."""
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _edge_array(edges: set[tuple[int, int]]) -> np.ndarray:
+    return np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # one Bernoulli draw per unordered pair, row-major over the upper triangle
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    return set(zip(iu[mask].tolist(), ju[mask].tolist()))
+    pairs = _upper_pairs(n)
+    return pairs[rng.random(len(pairs)) < p]
 
 
-def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # classic single-pass rewiring over the base ring, by node then by offset;
     # the far endpoint moves to a uniform non-self, non-duplicate target
     if n < 3 or not 1 <= k <= (n - 1) // 2:
@@ -225,10 +258,10 @@ def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> set[t
             edges.add(_norm(u, w))
             degree[v] -= 1
             degree[w] += 1
-    return edges
+    return _edge_array(edges)
 
 
-def _regular_random(n: int, k: int, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _regular_random(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     # stub-pairing with rejection: shuffle the stub multiset, pair consecutive
     # stubs, recycle the pairs that would form loops or duplicates; restart
     # from scratch whenever the leftover stubs cannot form any legal edge
@@ -255,7 +288,7 @@ def _regular_random(n: int, k: int, rng: np.random.Generator) -> set[tuple[int, 
             if stubs.size and not _has_legal_pair(stubs, edges):
                 break
         if not stubs.size:
-            return edges
+            return _edge_array(edges)
     raise GenerationError(f"could not realize a simple {k}-regular graph on {n} nodes")
 
 
@@ -268,7 +301,7 @@ def _has_legal_pair(stubs: np.ndarray, edges: set[tuple[int, int]]) -> bool:
     return False
 
 
-def _barabasi_albert(n: int, k: int, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _barabasi_albert(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     # seed with a star on k+1 nodes, then attach each new node to k distinct
     # targets drawn degree-proportionally (repeated-node list, duplicates
     # rejected, i.e. sampling without replacement)
@@ -285,7 +318,7 @@ def _barabasi_albert(n: int, k: int, rng: np.random.Generator) -> set[tuple[int,
             edges.add(_norm(new, t))
         repeated.extend(targets)
         repeated.extend([new] * k)
-    return edges
+    return _edge_array(edges)
 
 
 def gen_random(spec: GraphSpec) -> Graph:
@@ -308,7 +341,7 @@ def gen_random(spec: GraphSpec) -> Graph:
             edges = _regular_random(spec.n, spec.k, rng)
         else:
             edges = _barabasi_albert(spec.n, spec.k, rng)
-        g = Graph(spec.n, tuple(edges))
+        g = Graph(spec.n, edges)
         if not spec.require_connected or is_connected(g):
             return g
     raise GenerationError(
@@ -334,46 +367,43 @@ def build_laplacian(g: Graph) -> np.ndarray:
     integer-valued (stored as float64, hence exact).
     """
     lap = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
-        lap[i, j] = -1.0
-        lap[j, i] = -1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
+    i, j = g.edges.T
+    lap[i, j] = -1.0
+    lap[j, i] = -1.0
+    lap.flat[:: g.n_nodes + 1] = degrees(g)
     return lap
 
 
 def degrees(g: Graph) -> np.ndarray:
-    ends = np.fromiter((x for e in g.edges for x in e), dtype=np.int64, count=2 * g.n_edges)
-    return np.bincount(ends, minlength=g.n_nodes)
+    return np.bincount(g.edges.ravel(), minlength=g.n_nodes)
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from node 0."""
-    if g.n_nodes == 1:
-        return True
-    adj = g.adjacency_lists()
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    return count == g.n_nodes
+    """True iff every node is reachable from every other.
+
+    Min-label propagation with pointer jumping: each node takes the smallest
+    label on its edges, then its label's label.  Labels only decrease and
+    always name a node of the same component, so at the fixed point each
+    component carries a single label.
+    """
+    label = np.arange(g.n_nodes)
+    i, j = g.edges.T
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return bool(np.all(label == label[0]))
+        label = new
 
 
 def write_edge_list(g: Graph, path) -> None:
     """Plain-text edge list: first line the node count, then one 'i j' per line."""
     with open(path, "w") as fh:
         fh.write(f"{g.n_nodes}\n")
-        for i, j in g.edges:
-            fh.write(f"{i} {j}\n")
+        fh.write("%d %d\n" * g.n_edges % tuple(g.edges.ravel().tolist()))
 
 
 def read_edge_list(path) -> Graph:
@@ -395,7 +425,7 @@ def read_edge_list(path) -> Graph:
         if not i < j:
             raise ValueError(f"{path}: edges must satisfy i < j, got {ln!r}")
         edges.append((i, j))
-    return Graph(n, tuple(edges))
+    return Graph(n, edges)
 
 
 def ensemble_specs(spec: GraphSpec, realizations: int, master_seed: int):

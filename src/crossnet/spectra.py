@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigenSolverError
-from .graphs import Graph, GraphSpec, build_graph, build_laplacian
-from .rng import derive_seed
+from .graphs import Graph, GraphSpec, build_graph, build_laplacian, ensemble_specs
 from .textio import fmt_float
 
 __all__ = [
@@ -130,18 +129,22 @@ def ensemble_eigenvalues(
     master_seed: int,
     threads: int | None = None,
 ) -> np.ndarray:
-    """(realizations, n) array of sorted eigenvalues, one row per realization."""
+    """(realizations, n) array of sorted eigenvalues, one row per realization.
 
-    def one(i: int) -> np.ndarray:
-        g = build_graph(replace(spec, seed=derive_seed(master_seed, i)))
-        return eig_symmetric(build_laplacian(g)).eigenvalues
+    Realization ``i`` is built from ``ensemble_specs(spec, realizations,
+    master_seed)``, so its seed is derived from (master_seed, i).
+    """
 
+    def one(member: GraphSpec) -> np.ndarray:
+        return eig_symmetric(build_laplacian(build_graph(member))).eigenvalues
+
+    members = ensemble_specs(spec, realizations, master_seed)
     if threads is None or threads <= 1:
-        rows = [one(i) for i in range(realizations)]
+        rows = [one(m) for m in members]
     else:
         workers = min(threads, os.cpu_count() or 1, realizations)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(realizations)))
+            rows = list(pool.map(one, members))
     return np.stack(rows)
 
 

@@ -229,3 +229,29 @@ def test_readme_example_runs(argv, capsys, tmp_path):
     if args[0] == "ensemble":
         args += ["--set", "experiment.realizations=20"]
     assert main(args) == 0, capsys.readouterr().out
+
+
+def test_swept_key_needs_no_base_value(capsys, tmp_path):
+    # the README ER sweep gives no base graph.p; it must match the run with
+    # graph.p set to the first swept value, file for file
+    (readme,) = [argv[1:] for argv in _readme_examples() if argv[1] == "ensemble"]
+    assert not any(a.startswith("graph.p=") for a in readme)
+    out = readme.index("--output-dir") + 1
+    args = readme + ["--set", "experiment.realizations=20"]
+    args[out] = str(tmp_path / "bare")
+    assert main(args) == 0
+    args[out] = str(tmp_path / "base")
+    assert main(args + ["--set", "graph.p=0.1"]) == 0
+    capsys.readouterr()
+    for name in ("ensemble.csv", "summary.csv", "manifest.json"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "base" / name).read_bytes(), name
+
+
+def test_sweeping_a_key_the_family_does_not_take_is_a_config_error(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "ensemble", "--output-dir", str(tmp_path / "x"),
+        "--set", "graph.family=erdos-renyi", "--set", "graph.n=20", "--set", "graph.p=0.2",
+        "--set", "experiment.sweep_param=k", "--set", "experiment.sweep_values=[2,3]",
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": "config", "message": "erdos-renyi does not take k"}

@@ -139,3 +139,15 @@ def test_doc_round_trips_through_file(tmp_path):
     assert doc2 == doc
     assert cfg2.graph.k == 7
     assert cfg2.skt.d21 == 1.0
+
+
+def test_unset_swept_key_starts_at_first_sweep_value():
+    sweep = ["experiment.sweep_param=p", "experiment.sweep_values=[0.2,0.3]"]
+    doc = load_config_doc(overrides=["graph.family=erdos-renyi", "graph.n=10"] + sweep)
+    assert doc["graph"]["p"] == 0.2
+    doc = load_config_doc(overrides=["graph.family=erdos-renyi", "graph.n=10", "graph.p=0.7"] + sweep)
+    assert doc["graph"]["p"] == 0.7  # an explicit base value is never overwritten
+    doc = load_config_doc(overrides=["graph.family=barabasi-albert", "graph.k=2",
+                                     "experiment.sweep_param=n", "experiment.sweep_values=[40,50]"])
+    assert doc["graph"]["n"] == 40
+    assert load_config_doc(overrides=["graph.family=erdos-renyi"])["graph"]["p"] is None

@@ -130,6 +130,21 @@ def test_simulate_and_report_outputs_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_report_json_run_counters(tmp_path):
+    kw = dict(skt=P, seeds=(0, 4), cfg=IntegratorConfig(t_max=30.0, steady_state_tol=1e-30))
+    spec = GraphSpec(family="ring", n=20, k=3)
+    reports = []
+    for name in ("a", "b"):
+        runs = simulate_and_report(spec, out_dir=str(tmp_path / name), **kw)
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        for run, entry in zip(runs, report["runs"], strict=True):
+            assert entry["steps_accepted"] == run.result.steps_accepted
+            assert entry["steps_rejected"] == run.result.steps_rejected
+            assert entry["rhs_evaluations"] == run.result.rhs_evaluations > 0
+        reports.append(report["runs"])
+    assert reports[0] == reports[1]
+
+
 def test_manifest_contents(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, graph=GraphSpec(family="ring", n=10, k=2), skt=P,

@@ -1,5 +1,6 @@
 """Graph construction: deterministic families, random families, Laplacians, I/O."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from conftest import laplacian_from_edges
 
 def test_graph_canonicalizes_edges():
     g = Graph(3, [(2, 1), (0, 1)])
-    assert g.edges == ((0, 1), (1, 2))
+    assert np.array_equal(g.edges, [(0, 1), (1, 2)])
     assert g.n_edges == 2
 
 
@@ -49,12 +50,54 @@ def test_graph_rejects_out_of_range():
         Graph(3, [(0, 3)])
 
 
-def test_adjacency_lists_symmetric():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    adj = g.adjacency_lists()
-    for i, nbrs in enumerate(adj):
-        for j in nbrs:
-            assert i in adj[j]
+def _as_array(pairs):
+    return np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
+
+
+@pytest.mark.parametrize("convert", [list, _as_array], ids=["tuples", "array"])
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ([(0, 1), (2, 2)], "self-loop at node 2"),
+        ([(0, 1), (1, 3)], r"edge \(1, 3\) out of range for 3 nodes"),
+        ([(0, 1), (-1, 2)], r"edge \(-1, 2\) out of range for 3 nodes"),
+        ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+        ([(1, 2), (0, 1), (2, 1)], r"duplicate edge \(1, 2\)"),
+        ([(0, 1, 2)], "pairs"),
+    ],
+    ids=["self-loop", "out-of-range", "negative", "duplicate", "reversed-duplicate", "not-pairs"],
+)
+def test_graph_validation_messages(convert, pairs, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, convert(pairs))
+
+
+@pytest.mark.parametrize("convert", [list, _as_array], ids=["tuples", "array"])
+def test_graph_stores_one_canonical_read_only_array(convert):
+    given = [(3, 0), (1, 2), (0, 1), (2, 3)]
+    g = Graph(4, convert(given))
+    assert g.edges.dtype == np.int64 and g.edges.shape == (4, 2)
+    assert np.array_equal(g.edges, [(0, 1), (0, 3), (1, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 2
+    assert Graph(4, convert([])).edges.shape == (0, 2)
+
+
+def test_graph_does_not_freeze_or_alter_the_caller_array():
+    given = np.array([(1, 0), (2, 1)])
+    Graph(3, given)
+    assert given.flags.writeable
+    assert np.array_equal(given, [(1, 0), (2, 1)])
+
+
+def test_graph_equality():
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert g == Graph(4, np.array([(3, 2), (1, 0)]))
+    assert g != Graph(5, [(0, 1), (2, 3)])
+    assert g != Graph(4, [(0, 1), (1, 3)])
+    assert g != Graph(4, [(0, 1)])
+    assert Graph(2, []) == Graph(2, np.empty((0, 2), dtype=np.int64))
+    assert g != [(0, 1), (2, 3)]
 
 
 # ------------------------------------------------------- deterministic graphs
@@ -62,7 +105,7 @@ def test_adjacency_lists_symmetric():
 
 def test_ring_small_known_edges():
     g = gen_ring(4, 1)
-    assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert np.array_equal(g.edges, [(0, 1), (0, 3), (1, 2), (2, 3)])
 
 
 def test_ring_node_degree_is_twice_k():
@@ -79,12 +122,12 @@ def test_ring_k_too_large_raises():
 
 def test_path_edges_and_degrees():
     g = gen_path(5)
-    assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert np.array_equal(g.edges, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert list(degrees(g)) == [1, 2, 2, 2, 1]
 
 
 def test_path_two_nodes():
-    assert gen_path(2).edges == ((0, 1),)
+    assert np.array_equal(gen_path(2).edges, [(0, 1)])
 
 
 def test_square_lattice_counts():
@@ -155,7 +198,7 @@ def test_build_graph_dispatch():
 def test_watts_strogatz_p_zero_is_exactly_the_ring():
     for seed in (0, 1, 17):
         g = build_graph(GraphSpec(family="watts-strogatz", n=30, k=4, p=0.0, seed=seed))
-        assert g.edges == gen_ring(30, 4).edges
+        assert g == gen_ring(30, 4)
 
 
 def test_watts_strogatz_preserves_edge_count():
@@ -167,7 +210,7 @@ def test_watts_strogatz_preserves_edge_count():
 
 def test_watts_strogatz_rewires_someting_at_high_p():
     g = build_graph(GraphSpec(family="watts-strogatz", n=40, k=3, p=1.0, seed=5))
-    assert g.edges != gen_ring(40, 3).edges
+    assert g != gen_ring(40, 3)
 
 
 def test_regular_random_degrees():
@@ -204,9 +247,9 @@ def test_random_graphs_deterministic_per_seed():
         ("barabasi-albert", {"k": 2}),
     ):
         spec = GraphSpec(family=family, n=30, seed=11, **kw)
-        assert build_graph(spec).edges == build_graph(spec).edges, family
+        assert build_graph(spec) == build_graph(spec), family
         other = dataclasses.replace(spec, seed=12)
-        assert build_graph(spec).edges != build_graph(other).edges, family
+        assert build_graph(spec) != build_graph(other), family
 
 
 def test_require_connected_retries_until_connected():
@@ -231,6 +274,43 @@ def test_ensemble_specs_distinct_seeds():
     again = [s.seed for s in ensemble_specs(spec, 16, master_seed=0)]
     assert seeds == again
     assert seeds != [s.seed for s in ensemble_specs(spec, 16, master_seed=1)]
+
+
+# sha256 of write_edge_list output, recorded before the array-native refactor;
+# any change to an RNG stream or to edge order or formatting shows up here
+FROZEN_EDGE_LISTS = [
+    (dict(family="erdos-renyi", n=60, p=0.1, seed=0), "fc3e4535d32da835aafb96de385fc928c005ae9c13beb46f88fa830ea0aebfc3"),
+    (dict(family="erdos-renyi", n=60, p=0.1, seed=1), "c461700db3b8dc03dd872e007fcb1c2b5b26938e7ff4986093a60c38513f8351"),
+    (dict(family="erdos-renyi", n=60, p=0.1, seed=12345), "326cb9316c36e6d57524018128e36f9c57d7fbcb72776930a3cd0489f3898851"),
+    (dict(family="watts-strogatz", n=60, k=3, p=0.2, seed=0), "a055d85093a63e071bb6db7f59c99d7b9771ef2f5a1e7d4b201229cc9c3742e6"),
+    (dict(family="watts-strogatz", n=60, k=3, p=0.2, seed=1), "e3c0a4b51be0a29a5983dbbcfd2cadc77c19c3c3140718c631e26c66dcfb4bcc"),
+    (dict(family="watts-strogatz", n=60, k=3, p=0.2, seed=12345), "de892912f573886ff14e379ea19c342f7805768a71ecc06b9411e857150949a0"),
+    (dict(family="regular-random", n=60, k=4, seed=0), "ab51a98eee343485d045bbbf661d34571bba2cb0bcd3a1bd541fcb8df331a5e6"),
+    (dict(family="regular-random", n=60, k=4, seed=1), "a6725f24117d2989ae9840e2e5d5e4542debbc8f09a620463fb74b5b29686acd"),
+    (dict(family="regular-random", n=60, k=4, seed=12345), "afc0adb6c39ceafb94534786f80b459e4a78b1d62f35c9a9072cbaba97379a43"),
+    (dict(family="barabasi-albert", n=60, k=3, seed=0), "2866750169bb767df28c9ce658df6b9dc7e30d45140c16246de8d6ad4711ba54"),
+    (dict(family="barabasi-albert", n=60, k=3, seed=1), "63a313d04beb4e877b16855fd73ea8cb1f985cd0fa1c57b55334a17d5c7b1f40"),
+    (dict(family="barabasi-albert", n=60, k=3, seed=12345), "8b56c67ad6141753709d868dd9d658d3b76272a609b34243b07623f992e5143e"),
+    # attempt 0 of this spec is disconnected, so the retry stream is covered
+    (dict(family="erdos-renyi", n=40, p=0.12, seed=0, require_connected=True),
+     "168645e4ba191bad96e2717ff87a02c7bac8c61d90c71d47faa8dab725f7d876"),
+    (dict(family="ring", n=30, k=4), "ab8fee20059874c208eea9917d313b377754a794354da0c8a386cf51046752f2"),
+    (dict(family="path", n=17), "f7f58c1193d68800677c784fb01bf6e5e8f383a9d5bd2ac0845b9c8753be27ce"),
+    (dict(family="triangular-lattice", rows=5, cols=7), "18d6b39d08f549d49412796ed18a7cc517b515c952902ef64142d9272cb1c7a3"),
+    (dict(family="square-lattice", rows=6, cols=5), "63761d19f3d8c6519f8cb4786556ab36a7b65a9ed2bec6726f7942dbb143cb45"),
+    (dict(family="hexagonal-lattice", rows=7, cols=6), "4836a89fb759004142ee6181ce09cef4684aa05362d418b4d923662c56687114"),
+]
+
+
+@pytest.mark.parametrize(
+    "kw,digest", FROZEN_EDGE_LISTS,
+    ids=[f"{kw['family']}-{kw.get('seed', 0)}{'-connected' if kw.get('require_connected') else ''}"
+         for kw, _ in FROZEN_EDGE_LISTS],
+)
+def test_edge_list_bytes_frozen(tmp_path, kw, digest):
+    path = tmp_path / "g.txt"
+    write_edge_list(build_graph(GraphSpec(**kw)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ Laplacian
@@ -268,6 +348,63 @@ def test_is_connected_cases():
     assert not is_connected(Graph(2, []))
 
 
+# ------------------------------------------------------------ networkx oracle
+
+ORACLE_SPECS = [
+    dict(family="ring", n=13, k=3),
+    dict(family="path", n=9),
+    dict(family="triangular-lattice", rows=4, cols=5),
+    dict(family="square-lattice", rows=3, cols=6),
+    dict(family="hexagonal-lattice", rows=5, cols=4),
+] + [
+    dict(family=family, seed=seed, **kw)
+    for seed in (0, 3, 8)
+    for family, kw in (
+        ("erdos-renyi", dict(n=25, p=0.08)),  # often disconnected
+        ("erdos-renyi", dict(n=25, p=0.3)),
+        ("watts-strogatz", dict(n=24, k=2, p=0.4)),
+        ("regular-random", dict(n=24, k=3)),
+        ("barabasi-albert", dict(n=24, k=2)),
+    )
+]
+
+
+def _to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from(g.edges.tolist())
+    return h
+
+
+@pytest.mark.parametrize(
+    "kw", ORACLE_SPECS,
+    ids=[f"{kw['family']}-{kw.get('p', '')}-{kw.get('seed', 0)}" for kw in ORACLE_SPECS],
+)
+def test_matches_networkx(kw):
+    nx = pytest.importorskip("networkx")
+    g = build_graph(GraphSpec(**kw))
+    h = _to_networkx(nx, g)
+    assert h.number_of_edges() == g.n_edges
+    expect = nx.laplacian_matrix(h, nodelist=range(g.n_nodes)).toarray()
+    assert np.array_equal(build_laplacian(g), expect)
+    assert np.array_equal(degrees(g), [d for _, d in sorted(h.degree())])
+    assert is_connected(g) == nx.is_connected(h)
+
+
+def test_is_connected_matches_networkx_on_disconnected_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        free = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pick = rng.random(len(free)) < rng.uniform(0.0, 0.25)
+        g = Graph(n, [e for e, keep in zip(free, pick) if keep])
+        outcomes.add(is_connected(g))
+        assert is_connected(g) == nx.is_connected(_to_networkx(nx, g)), g
+    assert outcomes == {True, False}
+
+
 # ------------------------------------------------------------------- edge I/O
 
 
@@ -277,7 +414,7 @@ def test_edge_list_round_trip(tmp_path, small_ring):
     write_edge_list(g, path)
     back = read_edge_list(path)
     assert back.n_nodes == g.n_nodes
-    assert back.edges == g.edges
+    assert back == g
 
 
 def test_edge_list_format_is_text_with_header(tmp_path):

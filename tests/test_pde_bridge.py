@@ -21,7 +21,7 @@ def test_discretize_scales_by_h_squared():
     p = bench_pde(11, ell=1.0)  # h = 0.1
     skt, g = discretize_skt_1d(p)
     assert g.n_nodes == 11
-    assert g.edges == tuple((i, i + 1) for i in range(10))
+    assert np.array_equal(g.edges, [(i, i + 1) for i in range(10)])
     assert skt.d == pytest.approx(0.03 / 0.01, rel=1e-15)
     assert skt.d12 == pytest.approx(3.0 / 0.01, rel=1e-15)
     assert skt.d21 == 0.0
