@@ -174,6 +174,8 @@ def cmd_simulate(cfg: RunConfig, doc: dict) -> int:
             {
                 "seed": r.seed,
                 "converged": r.result.converged,
+                "reason": r.result.reason,
+                "final_residual": r.result.final_residual,
                 "t_final": r.result.final.t,
                 "heterogeneity": r.metrics.heterogeneity,
                 "pct_change_u": r.metrics.pct_change_u,

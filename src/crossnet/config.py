@@ -121,40 +121,13 @@ def apply_override(doc: dict, assignment: str) -> None:
         raise ConfigError(f"override target must have at most one dot, got {target!r}")
 
 
-_BLANK_GRAPH: dict = {
-    "family": None,
-    "n": None,
-    "k": None,
-    "p": None,
-    "rows": None,
-    "cols": None,
-    "seed": None,
-    "require_connected": False,
-}
-
-
-def _family_explicitly_set(path: str | None, overrides: list[str] | None) -> bool:
-    for assignment in overrides or []:
-        if assignment.split("=", 1)[0].strip() == "graph.family":
-            return True
-    if path is not None:
-        try:
-            with open(path) as fh:
-                incoming = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return False  # the main pass reports these properly
-        if isinstance(incoming, dict) and isinstance(incoming.get("graph"), dict):
-            return "family" in incoming["graph"]
-    return False
+_BLANK_GRAPH: dict = {key: None for key in _DEFAULTS["graph"]} | {"require_connected": False}
 
 
 def load_config_doc(path: str | None = None, overrides: list[str] | None = None) -> dict:
     """Resolved plain-dict config with every key explicit."""
     doc = copy.deepcopy(_DEFAULTS)
-    # an explicit family invalidates the bundled ring defaults (n=100, k=10);
-    # start that block from scratch so unrelated keys do not leak in
-    if _family_explicitly_set(path, overrides):
-        doc["graph"] = copy.deepcopy(_BLANK_GRAPH)
+    incoming: dict = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -163,15 +136,22 @@ def load_config_doc(path: str | None = None, overrides: list[str] | None = None)
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(incoming, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        for key, value in incoming.items():
-            if key in ("graph", "skt", "integrator", "experiment"):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{path}: block {key!r} must be a JSON object")
-                _merge_block(doc[key], value, key)
-            elif key in ("output_dir", "master_seed"):
-                doc[key] = value
-            else:
-                raise ConfigError(f"{path}: unknown top-level key {key!r}")
+    # an explicit family invalidates the bundled ring defaults (n=100, k=10);
+    # start that block from scratch so unrelated keys do not leak in
+    file_graph = incoming.get("graph")
+    if (isinstance(file_graph, dict) and "family" in file_graph) or any(
+        assignment.split("=", 1)[0].strip() == "graph.family" for assignment in overrides or []
+    ):
+        doc["graph"] = dict(_BLANK_GRAPH)
+    for key, value in incoming.items():
+        if key in ("graph", "skt", "integrator", "experiment"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: block {key!r} must be a JSON object")
+            _merge_block(doc[key], value, key)
+        elif key in ("output_dir", "master_seed"):
+            doc[key] = value
+        else:
+            raise ConfigError(f"{path}: unknown top-level key {key!r}")
     for assignment in overrides or []:
         apply_override(doc, assignment)
     env_seed = os.environ.get(SEED_ENV_VAR)

@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import IntegrationError
-from .stability import Equilibrium, GeneralModel, SktParams, skt_to_general
+from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
 
@@ -29,7 +29,6 @@ __all__ = [
     "integrate",
     "simulate_skt",
     "perturb_homogeneous",
-    "check_positivity",
     "pattern_metrics",
     "PatternMetrics",
     "mode_amplitudes",
@@ -91,6 +90,7 @@ class SimulationResult:
     steps_rejected: int
     rhs_evaluations: int
     reason: str
+    final_residual: float  # max |F| over both species at the final state
     config: IntegratorConfig = field(default_factory=IntegratorConfig)
 
 
@@ -101,31 +101,29 @@ def reaction_terms(u: np.ndarray, v: np.ndarray, p) -> tuple[np.ndarray, np.ndar
     return fu, gv
 
 
-def rhs(u: np.ndarray, v: np.ndarray, m: GeneralModel, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the model ``m`` on a network with Laplacian ``lap``.
+def rhs(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivative of the competition model on a network with Laplacian ``lap``.
 
-    du_i = f(u_i, v_i) - d1*(L u)_i - d11*(L s1(u) u)_i - d12*(L c1(v) u)_i
-    and symmetrically for v with d2, d22 and d21.  For the competition model
-    (``skt_to_general``) this is du_i = f - d*(L u)_i - d11*(L u^2)_i -
-    d12*(L uv)_i.  Zero-coefficient transport terms are skipped; that changes
-    no bits because subtracting an exact zero is exact.
+    du_i = f(u_i, v_i) - d*(L u)_i - d11*(L u^2)_i - d12*(L uv)_i and
+    dv_i = g(u_i, v_i) - d*(L v)_i - d22*(L v^2)_i - d21*(L uv)_i.
+    Zero-coefficient transport terms are skipped; that changes no bits
+    because subtracting an exact zero is exact.
     """
     if u.shape != v.shape or lap.shape != (u.size, u.size):
         raise ValueError(f"shape mismatch: u {u.shape}, v {v.shape}, laplacian {lap.shape}")
-    du = m.f(u, v)
-    dv = m.g(u, v)
-    if m.d1 != 0.0:
-        du = du - m.d1 * (lap @ u)
-    if m.d11 != 0.0:
-        du = du - m.d11 * (lap @ (m.s1(u) * u))
-    if m.d12 != 0.0:
-        du = du - m.d12 * (lap @ (m.c1(v) * u))
-    if m.d2 != 0.0:
-        dv = dv - m.d2 * (lap @ v)
-    if m.d22 != 0.0:
-        dv = dv - m.d22 * (lap @ (m.s2(v) * v))
-    if m.d21 != 0.0:
-        dv = dv - m.d21 * (lap @ (m.c2(u) * v))
+    du, dv = reaction_terms(u, v, p)
+    if p.d != 0.0:
+        du = du - p.d * (lap @ u)
+        dv = dv - p.d * (lap @ v)
+    if p.d11 != 0.0:
+        du = du - p.d11 * (lap @ (u * u))
+    if p.d22 != 0.0:
+        dv = dv - p.d22 * (lap @ (v * v))
+    uv = u * v
+    if p.d12 != 0.0:
+        du = du - p.d12 * (lap @ uv)
+    if p.d21 != 0.0:
+        dv = dv - p.d21 * (lap @ uv)
     return du, dv
 
 
@@ -222,7 +220,9 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
     positivity_violated = False
     accepted = 0
     rejected = 0
-    converged = bool(np.max(np.abs(k[0])) <= cfg.steady_state_tol)
+    # max |F| at the current state; the steady-state test and the result use it
+    residual = float(np.max(np.abs(k[0])))
+    converged = residual <= cfg.steady_state_tol
     reason = "steady_state" if converged else ""
     t_converged = t if converged else None
 
@@ -272,7 +272,8 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
         accepted += 1
         buffer.record(t, y)
 
-        if np.max(np.abs(f_new)) <= cfg.steady_state_tol:
+        residual = float(np.max(np.abs(f_new)))
+        if residual <= cfg.steady_state_tol:
             converged = True
             reason = "steady_state"
             t_converged = t
@@ -305,13 +306,13 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
         steps_rejected=rejected,
         rhs_evaluations=evals,
         reason=reason,
+        final_residual=residual,
         config=cfg,
     )
 
 
 def simulate_skt(p: SktParams, lap: np.ndarray, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig()) -> SimulationResult:
-    m = skt_to_general(p)
-    return integrate(lambda u, v: rhs(u, v, m, lap), init, cfg)
+    return integrate(lambda u, v: rhs(u, v, p, lap), init, cfg)
 
 
 def perturb_homogeneous(
@@ -339,13 +340,6 @@ def perturb_homogeneous(
     u = u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     v = v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     return NetworkState(u=u, v=v, t=0.0)
-
-
-def check_positivity(result: SimulationResult, abs_tol: float | None = None) -> bool:
-    """True iff every sampled entry stays above ``-10 * abs_tol``."""
-    tol = result.config.abs_tol if abs_tol is None else abs_tol
-    lowest = min(float(result.u_traj.min()), float(result.v_traj.min()))
-    return lowest >= -10.0 * tol
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .stability import (
     equilibrium,
     instability_region,
     report_to_dict,
+    stability_report,
 )
 from .textio import fmt_float
 
@@ -216,8 +217,7 @@ def simulate_and_report(
     lap = build_laplacian(g)
     eq = equilibrium(skt)
     spectrum = spectra.eig_symmetric(lap)
-    report = instability_region(skt, eq)
-    report = replace(report, unstable_modes=classify_modes(spectrum, report))
+    report = stability_report(skt, spectrum)
 
     runs = []
     for seed in seeds:
@@ -240,6 +240,7 @@ def _run_summary(run: SeedRunResult) -> dict:
         "steps_accepted": run.result.steps_accepted,
         "steps_rejected": run.result.steps_rejected,
         "rhs_evaluations": run.result.rhs_evaluations,
+        "final_residual": run.result.final_residual,
         "metrics": dataclasses.asdict(run.metrics),
     }
 

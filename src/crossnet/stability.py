@@ -5,7 +5,14 @@ uniform perturbations under weak competition; spatial (network) modes can
 still destabilize it through cross-diffusion.  Each Laplacian eigenvalue
 ``lam`` contributes a 2x2 characteristic matrix ``M = J - lam * D`` built
 from the reaction Jacobian ``J`` and the linearized diffusion matrix ``D``
-at the coexistence state.  Since ``trace(M) < 0`` always holds here, a mode
+at the coexistence state.
+
+``trace(M) < 0`` for every mode.  Weak competition, ``a1*a2 > b1*b2 >= 0``
+with all coefficients non-negative, forces ``a1, a2 > 0``, so
+``trace(J) = -a1*u* - a2*v* < 0`` at the positive coexistence state.  Every
+entry of the diagonal of ``D`` is a sum of non-negative coefficients times
+non-negative densities, so ``trace(D) >= 0`` and
+``trace(J - lam*D) <= trace(J) < 0`` for every ``lam >= 0``.  Hence a mode
 grows iff ``det(M) < 0``; expanding the determinant in the linear diffusion
 coefficient and in ``lam`` yields the onset threshold and the window of
 unstable eigenvalues computed below.
@@ -15,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -26,11 +32,9 @@ __all__ = [
     "DEFAULT_SKT_PARAMS",
     "Equilibrium",
     "InstabilityReport",
-    "GeneralModel",
     "coexistence_equilibrium",
     "jacobian_at_equilibrium",
     "diffusion_linearization",
-    "jacobian_general",
     "equilibrium",
     "characteristic_matrix",
     "dispersion_growth_rate",
@@ -40,7 +44,6 @@ __all__ = [
     "stability_report",
     "report_to_dict",
     "det_sign_scan",
-    "skt_to_general",
 ]
 
 _SCAN_STEP = 1e-3
@@ -114,6 +117,20 @@ def jacobian_at_equilibrium(p: SktParams, eq: tuple[float, float]) -> np.ndarray
     return np.array([[-p.a1 * u, -p.b1 * u], [-p.b2 * v, -p.a2 * v]])
 
 
+def diffusion_linearization(p: SktParams, state: tuple[float, float]) -> np.ndarray:
+    """Linearized transport matrix at ``state``: the derivative of the fluxes
+    ``d*u + d11*u^2 + d12*u*v`` and ``d*v + d22*v^2 + d21*u*v`` with respect
+    to (u, v).
+    """
+    u, v = state
+    return np.array(
+        [
+            [p.d + 2.0 * p.d11 * u + p.d12 * v, p.d12 * u],
+            [p.d21 * v, p.d + 2.0 * p.d22 * v + p.d21 * u],
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class Equilibrium:
     """Coexistence state together with both 2x2 linearizations."""
@@ -129,7 +146,7 @@ class Equilibrium:
 def equilibrium(p: SktParams) -> Equilibrium:
     uv = coexistence_equilibrium(p)
     j = jacobian_at_equilibrium(p, uv)
-    d = diffusion_linearization(skt_to_general(p), uv)
+    d = diffusion_linearization(p, uv)
     return Equilibrium(
         u_star=uv[0],
         v_star=uv[1],
@@ -366,107 +383,3 @@ def report_to_dict(report: InstabilityReport) -> dict:
             None if report.unstable_modes is None else list(report.unstable_modes)
         ),
     }
-
-
-def _identity(x):
-    return x
-
-
-def _one(x):
-    return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-
-
-def _central_diff(fn: Callable, x: float) -> float:
-    h = 1e-6 * max(1.0, abs(x))
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-
-@dataclass(frozen=True)
-class GeneralModel:
-    """Two-species reaction model with density-dependent transport.
-
-    Species fluxes are ``d1 + d11*s1(u)`` (self) and ``d12*c1(v)`` (cross)
-    for the first species, symmetrically for the second.  ``s*``/``c*`` must
-    accept numpy arrays.  Derivative callables are optional; central
-    differences with step ``1e-6 * max(1, |x|)`` fill the gaps.
-    """
-
-    f: Callable
-    g: Callable
-    d1: float = 0.0
-    d2: float = 0.0
-    d11: float = 0.0
-    d22: float = 0.0
-    d12: float = 0.0
-    d21: float = 0.0
-    s1: Callable = _identity
-    s2: Callable = _identity
-    c1: Callable = _identity
-    c2: Callable = _identity
-    s1_prime: Callable | None = None
-    s2_prime: Callable | None = None
-    c1_prime: Callable | None = None
-    c2_prime: Callable | None = None
-
-    def __post_init__(self):
-        for name in ("d1", "d2", "d11", "d22", "d12", "d21"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ValueError(f"coefficient {name} must be finite and >= 0, got {val}")
-
-    def _prime(self, fn: Callable, supplied: Callable | None, x: float) -> float:
-        return supplied(x) if supplied is not None else _central_diff(fn, x)
-
-
-def jacobian_general(m: GeneralModel, state: tuple[float, float]) -> np.ndarray:
-    """Reaction Jacobian of (f, g) at ``state`` via central differences."""
-    u, v = state
-    return np.array(
-        [
-            [_central_diff(lambda x: m.f(x, v), u), _central_diff(lambda y: m.f(u, y), v)],
-            [_central_diff(lambda x: m.g(x, v), u), _central_diff(lambda y: m.g(u, y), v)],
-        ]
-    )
-
-
-def diffusion_linearization(m: GeneralModel, state: tuple[float, float]) -> np.ndarray:
-    """Linearized transport matrix of ``m`` at ``state``.
-
-    The derivative of the fluxes with respect to (u, v); for the competition
-    model this is ``[[d + 2*d11*u + d12*v, d12*u], [d21*v, d + 2*d22*v + d21*u]]``.
-    """
-    u, v = state
-    s1u = m.s1(u)
-    s2v = m.s2(v)
-    d11 = m.d1 + m.d11 * (s1u + m._prime(m.s1, m.s1_prime, u) * u) + m.d12 * m.c1(v)
-    d12 = m.d12 * m._prime(m.c1, m.c1_prime, v) * u
-    d21 = m.d21 * m._prime(m.c2, m.c2_prime, u) * v
-    d22 = m.d2 + m.d22 * (s2v + m._prime(m.s2, m.s2_prime, v) * v) + m.d21 * m.c2(u)
-    return np.array([[d11, d12], [d21, d22]])
-
-
-def skt_to_general(p: SktParams) -> GeneralModel:
-    """The competition model as a general model.
-
-    Identity couplings with analytic unit derivatives, so both the network
-    right-hand side and the transport linearization are exact polynomials in
-    the coefficients.
-    """
-    return GeneralModel(
-        f=lambda u, v: u * (p.r1 - p.a1 * u - p.b1 * v),
-        g=lambda u, v: v * (p.r2 - p.b2 * u - p.a2 * v),
-        d1=p.d,
-        d2=p.d,
-        d11=p.d11,
-        d22=p.d22,
-        d12=p.d12,
-        d21=p.d21,
-        s1=_identity,
-        s2=_identity,
-        c1=_identity,
-        c2=_identity,
-        s1_prime=_one,
-        s2_prime=_one,
-        c1_prime=_one,
-        c2_prime=_one,
-    )

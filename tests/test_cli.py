@@ -189,6 +189,27 @@ def test_exit_code_4_on_io_error(capsys):
     assert json.loads(out)["error"] == "io"
 
 
+def test_exit_code_4_on_missing_config_file(capsys, tmp_path):
+    code, out = run_cli(capsys, "config", "dump", "--config", str(tmp_path / "missing.json"))
+    assert code == 4
+    assert json.loads(out)["error"] == "io"
+
+
+def test_simulate_summary_says_why_a_run_did_not_converge(capsys, tmp_path):
+    out_dir = tmp_path / "sim"
+    code, out = run_cli(
+        capsys, "simulate", "--output-dir", str(out_dir),
+        "--set", "graph.n=30", "--set", "graph.k=3", "--set", "integrator.t_max=5",
+    )
+    assert code == 0
+    run = json.loads(out)["runs"][0]
+    assert run["converged"] is False
+    assert run["reason"] == "t_max"
+    assert run["final_residual"] > load_config()[0].integrator.steady_state_tol
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["runs"][0]["final_residual"] == run["final_residual"]
+
+
 def test_env_seed_changes_outputs(capsys, tmp_path, monkeypatch):
     args = [
         "graph", "gen", "--set", "graph.family=erdos-renyi",

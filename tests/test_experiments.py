@@ -141,6 +141,7 @@ def test_report_json_run_counters(tmp_path):
             assert entry["steps_accepted"] == run.result.steps_accepted
             assert entry["steps_rejected"] == run.result.steps_rejected
             assert entry["rhs_evaluations"] == run.result.rhs_evaluations > 0
+            assert entry["final_residual"] == run.result.final_residual > 0
         reports.append(report["runs"])
     assert reports[0] == reports[1]
 
