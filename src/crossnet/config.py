@@ -57,8 +57,8 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.perturbation < 0:
-            raise ValueError(f"perturbation must be >= 0, got {self.perturbation}")
+        if not 0 <= self.perturbation < 1:
+            raise ValueError(f"perturbation must be >= 0 and < 1, got {self.perturbation}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not self.seeds:

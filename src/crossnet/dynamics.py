@@ -5,8 +5,9 @@ control and first-same-as-last reuse.  Runs stop early once the infinity
 norm of the right-hand side falls below ``steady_state_tol``, which is how
 steady patterns are detected.  Exact solutions of the model stay
 non-negative for non-negative data; the stepper therefore clamps tiny
-numerical undershoots (within ``10 * abs_tol`` of zero) back to zero and
-flags anything deeper instead of hiding it.
+numerical undershoots (within ``10 * abs_tol`` of zero) back to zero,
+counts the steps on which it did, and flags anything deeper instead of
+hiding it.
 """
 from __future__ import annotations
 
@@ -91,6 +92,8 @@ class SimulationResult:
     rhs_evaluations: int
     reason: str
     final_residual: float  # max |F| over both species at the final state
+    positivity_clamps: int  # accepted steps on which a shallow undershoot was set to 0
+    min_state: float  # smallest u or v at the start and over accepted steps, before clamping
     config: IntegratorConfig = field(default_factory=IntegratorConfig)
 
 
@@ -104,27 +107,36 @@ def reaction_terms(u: np.ndarray, v: np.ndarray, p) -> tuple[np.ndarray, np.ndar
 def rhs(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of the competition model on a network with Laplacian ``lap``.
 
-    du_i = f(u_i, v_i) - d*(L u)_i - d11*(L u^2)_i - d12*(L uv)_i and
-    dv_i = g(u_i, v_i) - d*(L v)_i - d22*(L v^2)_i - d21*(L uv)_i.
-    Zero-coefficient transport terms are skipped; that changes no bits
-    because subtracting an exact zero is exact.
+    Transport is the Laplacian applied to one flux per species:
+    du = f(u, v) - L (d*u + d11*u^2 + d12*uv) and
+    dv = g(u, v) - L (d*v + d22*v^2 + d21*uv).
+    The two fluxes are the rows of one (2, n) array F, and ``lap`` is applied
+    to both in one product, ``F @ lap``, which reads L once instead of once
+    per nonzero transport coefficient.  That product is ``(L F^T)^T`` because
+    a graph Laplacian is symmetric; ``lap`` must be.  Zero coefficients add
+    nothing to the fluxes, so the default d11 = d22 = 0 computes no squares.
+    Summing the flux before applying L associates differently from summing
+    d*(L u), d11*(L u^2), ... term by term, so the two agree to rounding, not
+    bit for bit.
     """
     if u.shape != v.shape or lap.shape != (u.size, u.size):
         raise ValueError(f"shape mismatch: u {u.shape}, v {v.shape}, laplacian {lap.shape}")
-    du, dv = reaction_terms(u, v, p)
+    flux = np.zeros((2, u.size))
     if p.d != 0.0:
-        du = du - p.d * (lap @ u)
-        dv = dv - p.d * (lap @ v)
+        flux[0] += p.d * u
+        flux[1] += p.d * v
     if p.d11 != 0.0:
-        du = du - p.d11 * (lap @ (u * u))
+        flux[0] += p.d11 * (u * u)
     if p.d22 != 0.0:
-        dv = dv - p.d22 * (lap @ (v * v))
+        flux[1] += p.d22 * (v * v)
     uv = u * v
     if p.d12 != 0.0:
-        du = du - p.d12 * (lap @ uv)
+        flux[0] += p.d12 * uv
     if p.d21 != 0.0:
-        dv = dv - p.d21 * (lap @ uv)
-    return du, dv
+        flux[1] += p.d21 * uv
+    transport = flux @ lap
+    fu, gv = reaction_terms(u, v, p)
+    return fu - transport[0], gv - transport[1]
 
 
 # Dormand-Prince 5(4) tableau; row 6 doubles as the 5th-order weights (FSAL)
@@ -218,6 +230,8 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
     k = np.empty((7, 2 * n))
     k[0] = f(y)
     positivity_violated = False
+    clamps = 0
+    min_state = float(y.min())
     accepted = 0
     rejected = 0
     # max |F| at the current state; the steady-state test and the result use it
@@ -259,13 +273,15 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
         t += h
         y = y_new
         f_new = k[6]
-        negative = y < 0.0
-        if negative.any():
+        step_min = float(y.min())
+        min_state = min(min_state, step_min)
+        if step_min < 0.0:
             deep = y < -10.0 * cfg.abs_tol
             if deep.any():
                 positivity_violated = True
-            shallow = negative & ~deep
+            shallow = (y < 0.0) & ~deep
             if shallow.any():
+                clamps += 1
                 y = y.copy()
                 y[shallow] = 0.0
                 f_new = f(y)
@@ -307,6 +323,8 @@ def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig(
         rhs_evaluations=evals,
         reason=reason,
         final_residual=residual,
+        positivity_clamps=clamps,
+        min_state=min_state,
         config=cfg,
     )
 
@@ -324,18 +342,16 @@ def perturb_homogeneous(
     """Homogeneous coexistence state with i.i.d. relative noise.
 
     ``u_i = u* (1 + e_i)`` with ``e_i`` uniform on [-magnitude, magnitude],
-    independently for both species.  The magnitude must stay below 1 and
-    below min(u*, v*) so the perturbed state is positive.
+    independently for both species.  The noise is relative, so a magnitude
+    below 1 keeps every perturbed density positive whatever u* and v* are.
     """
     u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if magnitude < 0:
         raise ValueError(f"magnitude must be >= 0, got {magnitude}")
-    if magnitude >= min(1.0, u_star, v_star):
-        raise ValueError(
-            f"magnitude {magnitude} too large: must be < min(1, u*, v*) = {min(1.0, u_star, v_star):g}"
-        )
+    if magnitude >= 1.0:
+        raise ValueError(f"magnitude {magnitude} too large: must be < 1")
     rng = rng_from(seed)
     u = u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     v = v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))

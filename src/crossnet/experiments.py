@@ -237,6 +237,8 @@ def _run_summary(run: SeedRunResult) -> dict:
         "t_converged": run.result.t_converged,
         "reason": run.result.reason,
         "positivity_violated": run.result.positivity_violated,
+        "positivity_clamps": run.result.positivity_clamps,
+        "min_state": run.result.min_state,
         "steps_accepted": run.result.steps_accepted,
         "steps_rejected": run.result.steps_rejected,
         "rhs_evaluations": run.result.rhs_evaluations,

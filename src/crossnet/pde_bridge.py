@@ -96,22 +96,15 @@ def _second_difference(w: np.ndarray) -> np.ndarray:
 def stencil_rhs(u: np.ndarray, v: np.ndarray, p: PdeParams) -> tuple[np.ndarray, np.ndarray]:
     """Direct finite-difference right-hand side of the 1-d system.
 
-    Applies the second-difference stencil to ``d1*u + d11*u^2 + d12*u*v``
-    (and the v counterpart) with the boundary handling described above.
+    Applies the second-difference stencil once to each species' flux,
+    ``d1*u + d11*u^2 + d12*u*v`` and its v counterpart, with the boundary
+    handling described above.
     """
     if u.shape != v.shape or u.ndim != 1 or u.size != p.n:
         raise ValueError(f"expected two length-{p.n} arrays, got {u.shape} and {v.shape}")
     scale = 1.0 / (p.h * p.h)
     fu, gv = reaction_terms(u, v, p)
     uv = u * v
-    du = fu + (p.d1 * scale) * _second_difference(u)
-    if p.d11 != 0.0:
-        du = du + (p.d11 * scale) * _second_difference(u * u)
-    if p.d12 != 0.0:
-        du = du + (p.d12 * scale) * _second_difference(uv)
-    dv = gv + (p.d2 * scale) * _second_difference(v)
-    if p.d22 != 0.0:
-        dv = dv + (p.d22 * scale) * _second_difference(v * v)
-    if p.d21 != 0.0:
-        dv = dv + (p.d21 * scale) * _second_difference(uv)
+    du = fu + scale * _second_difference(p.d1 * u + p.d11 * (u * u) + p.d12 * uv)
+    dv = gv + scale * _second_difference(p.d2 * v + p.d22 * (v * v) + p.d21 * uv)
     return du, dv

@@ -183,6 +183,27 @@ def test_exit_code_3_on_numerical_domain_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "numerical"
 
 
+def test_simulate_accepts_coexistence_state_with_small_density(capsys, tmp_path):
+    # r2 = 1.68 gives v* = 0.005, below the default perturbation 0.01; the
+    # noise is relative, so the perturbed state is still positive
+    out_dir = tmp_path / "small_v"
+    code, out = run_cli(
+        capsys, "simulate", "--output-dir", str(out_dir),
+        "--set", "skt.r2=1.68", "--set", "graph.n=20", "--set", "graph.k=2",
+        "--set", "integrator.t_max=50",
+    )
+    assert code == 0, out
+    assert not json.loads((out_dir / "report.json").read_text())["runs"][0]["positivity_violated"]
+
+
+def test_perturbation_of_one_is_a_config_error(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "simulate", "--output-dir", str(tmp_path / "p1"), "--set", "experiment.perturbation=1",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "config"
+
+
 def test_exit_code_4_on_io_error(capsys):
     code, out = run_cli(capsys, "graph", "gen", "--output-dir", "/proc/definitely/not/writable")
     assert code == 4

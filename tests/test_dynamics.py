@@ -122,24 +122,68 @@ def test_rhs_zero_coupling_reduces_to_reaction():
     assert np.array_equal(dv, fv)
 
 
+class _CountingLaplacian:
+    """A Laplacian stand-in that counts how often it is applied with ``@``."""
+
+    __array_ufunc__ = None  # makes numpy hand `array @ self` to __rmatmul__
+
+    def __init__(self, lap: np.ndarray):
+        self.lap = lap
+        self.shape = lap.shape
+        self.applications = 0
+
+    def __matmul__(self, other):
+        self.applications += 1
+        return self.lap @ other
+
+    def __rmatmul__(self, other):
+        self.applications += 1
+        return other @ self.lap
+
+
+def test_rhs_applies_the_laplacian_once_per_call():
+    lap = build_laplacian(gen_ring(12, 3))
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.1, 2.0, 12)
+    v = rng.uniform(0.1, 2.0, 12)
+    all_nonzero = dataclasses.replace(P, d11=0.1, d22=0.2, d21=0.7)
+    assert min(all_nonzero.d, all_nonzero.d11, all_nonzero.d12, all_nonzero.d21, all_nonzero.d22) > 0
+    for p in (P, all_nonzero):
+        counting = _CountingLaplacian(lap)
+        for calls in range(1, 4):
+            du, dv = rhs(u, v, p, counting)
+            assert counting.applications == calls
+        expect_du, expect_dv = rhs(u, v, p, lap)
+        assert np.array_equal(du, expect_du) and np.array_equal(dv, expect_dv)
+
+
 def test_rhs_matches_bruteforce_formula():
-    # direct loop over the model equations, no vectorization
+    # direct loop over the model equations, no vectorization; the fixed
+    # parameter set has every coefficient nonzero, the random draws set
+    # each transport coefficient to zero in about a third of the draws
     rng = np.random.default_rng(8)
     g = gen_ring(7, 2)
     lap = build_laplacian(g)
-    p = SktParams(r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
-                  d=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.7)
-    u = rng.uniform(0.1, 2.0, 7)
-    v = rng.uniform(0.1, 2.0, 7)
-    du, dv = rhs(u, v, p, lap)
-    for i in range(7):
-        acc_u = u[i] * (p.r1 - p.a1 * u[i] - p.b1 * v[i])
-        acc_v = v[i] * (p.r2 - p.b2 * u[i] - p.a2 * v[i])
-        for j in range(7):
-            acc_u -= lap[i, j] * (p.d * u[j] + p.d11 * u[j] ** 2 + p.d12 * u[j] * v[j])
-            acc_v -= lap[i, j] * (p.d * v[j] + p.d22 * v[j] ** 2 + p.d21 * u[j] * v[j])
-        assert du[i] == pytest.approx(acc_u, rel=1e-12, abs=1e-12)
-        assert dv[i] == pytest.approx(acc_v, rel=1e-12, abs=1e-12)
+    cases = [SktParams(r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
+                       d=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.7)]
+    names = ("d", "d11", "d22", "d12", "d21")
+    for _ in range(40):
+        coeffs = {name: float(rng.uniform(0.0, 3.0)) if rng.random() > 0.35 else 0.0 for name in names}
+        cases.append(dataclasses.replace(cases[0], **coeffs))
+    for name in names:
+        assert any(getattr(p, name) == 0.0 for p in cases) and any(getattr(p, name) > 0.0 for p in cases)
+    for p in cases:
+        u = rng.uniform(0.1, 2.0, 7)
+        v = rng.uniform(0.1, 2.0, 7)
+        du, dv = rhs(u, v, p, lap)
+        for i in range(7):
+            acc_u = u[i] * (p.r1 - p.a1 * u[i] - p.b1 * v[i])
+            acc_v = v[i] * (p.r2 - p.b2 * u[i] - p.a2 * v[i])
+            for j in range(7):
+                acc_u -= lap[i, j] * (p.d * u[j] + p.d11 * u[j] ** 2 + p.d12 * u[j] * v[j])
+                acc_v -= lap[i, j] * (p.d * v[j] + p.d22 * v[j] ** 2 + p.d21 * u[j] * v[j])
+            assert du[i] == pytest.approx(acc_u, rel=1e-12, abs=1e-12)
+            assert dv[i] == pytest.approx(acc_v, rel=1e-12, abs=1e-12)
 
 
 def _random_self_diffusion_params(rng) -> SktParams:
@@ -220,9 +264,12 @@ def test_perturb_sample_moments():
 
 
 def test_perturb_magnitude_guard():
-    eq = equilibrium(P)  # v* = 0.125 binds
+    eq = equilibrium(P)
     with pytest.raises(ValueError, match="too large"):
-        perturb_homogeneous(eq, 10, magnitude=0.2)
+        perturb_homogeneous(eq, 10, magnitude=1.0)
+    # the noise is relative: a magnitude above v* = 0.125 still keeps v positive
+    s = perturb_homogeneous(eq, 1000, magnitude=0.9, seed=5)
+    assert np.all(s.u > 0) and np.all(s.v > 0)
     with pytest.raises(ValueError, match=">= 0"):
         perturb_homogeneous(eq, 10, magnitude=-0.1)
 
@@ -335,6 +382,25 @@ def test_positivity_check_and_flag():
     init = perturb_homogeneous(eq, 15, magnitude=1e-2, seed=2)
     res = simulate_skt(P, lap, init, IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))
     assert not res.positivity_violated
+
+
+def test_shallow_undershoots_are_clamped_counted_and_reported():
+    # du/dt = -u - eps has its rest point at u = -eps, a shallow undershoot
+    # (eps < 10*abs_tol): the stepper crosses zero, clamps u back to 0 on
+    # every step that ends below it, and records the lowest unclamped value
+    cfg = IntegratorConfig(t_max=40.0, steady_state_tol=0.0)
+    eps = 5.0 * cfg.abs_tol
+    res = integrate(lambda u, v: (-u - eps, np.zeros_like(v)), NetworkState([1.0], [0.5]), cfg)
+    assert not res.positivity_violated
+    assert res.positivity_clamps >= 1
+    assert res.positivity_clamps <= res.steps_accepted
+    assert -eps <= res.min_state < 0.0
+    assert res.final.u[0] == 0.0 and res.final.v[0] == 0.5
+
+    # a growing state clamps nothing; its minimum is the initial one
+    res = integrate(lambda u, v: (u, np.zeros_like(v)), NetworkState([1.0], [0.5]), dataclasses.replace(cfg, t_max=1.0))
+    assert res.positivity_clamps == 0
+    assert res.min_state == 0.5
 
 
 def test_config_validation():

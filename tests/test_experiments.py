@@ -142,6 +142,8 @@ def test_report_json_run_counters(tmp_path):
             assert entry["steps_rejected"] == run.result.steps_rejected
             assert entry["rhs_evaluations"] == run.result.rhs_evaluations > 0
             assert entry["final_residual"] == run.result.final_residual > 0
+            assert entry["positivity_clamps"] == run.result.positivity_clamps == 0
+            assert entry["min_state"] == run.result.min_state > 0
         reports.append(report["runs"])
     assert reports[0] == reports[1]
 
