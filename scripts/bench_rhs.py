@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Time one evaluation of the network right-hand side ``dynamics.rhs``.
 
-Builds a ring Laplacian at each size, evaluates ``rhs`` at a perturbed
-coexistence state with the default model parameters, and prints the median
-microseconds per call as JSON.  BLAS runs on one thread so that the numbers
-do not depend on the host's core count; each median is taken over
-``--repeats`` batches of calls.
+Builds a ring Laplacian (neighbour radius 10) at n = 100, 1000 and 4000,
+evaluates ``rhs`` at a perturbed coexistence state with the default model
+parameters, and prints the median microseconds per call as JSON.  BLAS runs
+on one thread so that the numbers do not depend on the host's core count;
+each median is taken over seven batches of calls.
+
+Usage: ``PYTHONPATH=src python3 scripts/bench_rhs.py``
 """
 
 import os
@@ -14,7 +16,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import json
 import timeit
 
@@ -22,28 +23,27 @@ import numpy as np
 
 from crossnet import DEFAULT_SKT_PARAMS, build_laplacian, equilibrium, gen_ring, perturb_homogeneous, rhs
 
+SIZES = (100, 1000, 4000)
+RING_K = 10
+REPEATS = 7
 
-def time_rhs(n: int, k: int, repeats: int) -> float:
-    """Median microseconds of one ``rhs`` call on an n-node ring of radius k."""
-    lap = build_laplacian(gen_ring(n, k))
+
+def time_rhs(n: int) -> float:
+    """Median microseconds of one ``rhs`` call on an n-node ring."""
+    lap = build_laplacian(gen_ring(n, RING_K))
     state = perturb_homogeneous(equilibrium(DEFAULT_SKT_PARAMS), n, 1e-2, seed=0)
     timer = timeit.Timer(lambda: rhs(state.u, state.v, DEFAULT_SKT_PARAMS, lap))
     number, _ = timer.autorange()  # calls per batch so that a batch takes >= 0.2 s
-    batches = timer.repeat(repeat=repeats, number=number)
+    batches = timer.repeat(repeat=REPEATS, number=number)
     return float(np.median(batches)) / number * 1e6
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, nargs="+", default=[100, 1000, 4000], help="ring sizes")
-    ap.add_argument("--k", type=int, default=10, help="ring neighbour radius")
-    ap.add_argument("--repeats", type=int, default=7, help="timed batches per size")
-    args = ap.parse_args()
     result = {
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
-        "k": args.k,
-        "median_us_per_call": {str(n): round(time_rhs(n, args.k, args.repeats), 2) for n in args.n},
+        "k": RING_K,
+        "median_us_per_call": {str(n): round(time_rhs(n), 2) for n in SIZES},
     }
     print(json.dumps(result, indent=2))
 

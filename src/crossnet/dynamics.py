@@ -111,10 +111,9 @@ def rhs(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np
     du = f(u, v) - L (d*u + d11*u^2 + d12*uv) and
     dv = g(u, v) - L (d*v + d22*v^2 + d21*uv).
     The two fluxes are the rows of one (2, n) array F, and ``lap`` is applied
-    to both in one product, ``F @ lap``, which reads L once instead of once
-    per nonzero transport coefficient.  That product is ``(L F^T)^T`` because
-    a graph Laplacian is symmetric; ``lap`` must be.  Zero coefficients add
-    nothing to the fluxes, so the default d11 = d22 = 0 computes no squares.
+    to both in one product, ``lap @ F.T``, which reads L once instead of once
+    per nonzero transport coefficient.  Zero coefficients add nothing to the
+    fluxes, so the default d11 = d22 = 0 computes no squares.
     Summing the flux before applying L associates differently from summing
     d*(L u), d11*(L u^2), ... term by term, so the two agree to rounding, not
     bit for bit.
@@ -134,9 +133,9 @@ def rhs(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np
         flux[0] += p.d12 * uv
     if p.d21 != 0.0:
         flux[1] += p.d21 * uv
-    transport = flux @ lap
+    transport = lap @ flux.T
     fu, gv = reaction_terms(u, v, p)
-    return fu - transport[0], gv - transport[1]
+    return fu - transport[:, 0], gv - transport[:, 1]
 
 
 # Dormand-Prince 5(4) tableau; row 6 doubles as the 5th-order weights (FSAL)

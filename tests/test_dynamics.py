@@ -160,10 +160,12 @@ def test_rhs_applies_the_laplacian_once_per_call():
 def test_rhs_matches_bruteforce_formula():
     # direct loop over the model equations, no vectorization; the fixed
     # parameter set has every coefficient nonzero, the random draws set
-    # each transport coefficient to zero in about a third of the draws
+    # each transport coefficient to zero in about a third of the draws; a
+    # random asymmetric matrix checks that transport is lap @ flux for any
+    # square lap, not only for a symmetric Laplacian
     rng = np.random.default_rng(8)
     g = gen_ring(7, 2)
-    lap = build_laplacian(g)
+    operators = (build_laplacian(g), np.random.default_rng(9).normal(size=(7, 7)))
     cases = [SktParams(r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
                        d=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.7)]
     names = ("d", "d11", "d22", "d12", "d21")
@@ -175,15 +177,16 @@ def test_rhs_matches_bruteforce_formula():
     for p in cases:
         u = rng.uniform(0.1, 2.0, 7)
         v = rng.uniform(0.1, 2.0, 7)
-        du, dv = rhs(u, v, p, lap)
-        for i in range(7):
-            acc_u = u[i] * (p.r1 - p.a1 * u[i] - p.b1 * v[i])
-            acc_v = v[i] * (p.r2 - p.b2 * u[i] - p.a2 * v[i])
-            for j in range(7):
-                acc_u -= lap[i, j] * (p.d * u[j] + p.d11 * u[j] ** 2 + p.d12 * u[j] * v[j])
-                acc_v -= lap[i, j] * (p.d * v[j] + p.d22 * v[j] ** 2 + p.d21 * u[j] * v[j])
-            assert du[i] == pytest.approx(acc_u, rel=1e-12, abs=1e-12)
-            assert dv[i] == pytest.approx(acc_v, rel=1e-12, abs=1e-12)
+        for lap in operators:
+            du, dv = rhs(u, v, p, lap)
+            for i in range(7):
+                acc_u = u[i] * (p.r1 - p.a1 * u[i] - p.b1 * v[i])
+                acc_v = v[i] * (p.r2 - p.b2 * u[i] - p.a2 * v[i])
+                for j in range(7):
+                    acc_u -= lap[i, j] * (p.d * u[j] + p.d11 * u[j] ** 2 + p.d12 * u[j] * v[j])
+                    acc_v -= lap[i, j] * (p.d * v[j] + p.d22 * v[j] ** 2 + p.d21 * u[j] * v[j])
+                assert du[i] == pytest.approx(acc_u, rel=1e-12, abs=1e-12)
+                assert dv[i] == pytest.approx(acc_v, rel=1e-12, abs=1e-12)
 
 
 def _random_self_diffusion_params(rng) -> SktParams:
