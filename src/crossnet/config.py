@@ -63,6 +63,9 @@ class ExperimentConfig:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            # each seed's files go to seed_<s>/, so a repeat would overwrite them
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.sweep_param is not None and self.sweep_param not in ("k", "n", "p"):
             raise ValueError(f"sweep_param must be 'k', 'n' or 'p', got {self.sweep_param!r}")
         if (self.sweep_param is None) != (self.sweep_values is None):

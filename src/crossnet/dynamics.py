@@ -1,18 +1,21 @@
 """Nonlinear network dynamics: the model right-hand side and time integration.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control and first-same-as-last reuse.  Runs stop early once the infinity
-norm of the right-hand side falls below ``steady_state_tol``, which is how
-steady patterns are detected.  Exact solutions of the model stay
-non-negative for non-negative data; the stepper therefore clamps tiny
-numerical undershoots (within ``10 * abs_tol`` of zero) back to zero,
-counts the steps on which it did, and flags anything deeper instead of
-hiding it.
+control and first-same-as-last reuse.  It advances a batch of states at
+once, sharing each right-hand-side call, while every state keeps its own
+steps and stops on its own; a single state is a batch of one.  Runs stop
+early once the infinity norm of the right-hand side falls below
+``steady_state_tol``, which is how steady patterns are detected.  Exact
+solutions of the model stay non-negative for non-negative data; the
+stepper therefore clamps tiny numerical undershoots (within
+``10 * abs_tol`` of zero) back to zero, counts the steps on which it did,
+and flags anything deeper instead of hiding it.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -27,7 +30,7 @@ __all__ = [
     "SimulationResult",
     "reaction_terms",
     "rhs",
-    "integrate",
+    "integrate_batch",
     "simulate_skt",
     "perturb_homogeneous",
     "pattern_metrics",
@@ -104,38 +107,38 @@ def reaction_terms(u: np.ndarray, v: np.ndarray, p) -> tuple[np.ndarray, np.ndar
     return fu, gv
 
 
-def rhs(u: np.ndarray, v: np.ndarray, p: SktParams, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rhs(y: np.ndarray, p: SktParams, lap: np.ndarray) -> np.ndarray:
     """Time derivative of the competition model on a network with Laplacian ``lap``.
 
-    Transport is the Laplacian applied to one flux per species:
-    du = f(u, v) - L (d*u + d11*u^2 + d12*uv) and
-    dv = g(u, v) - L (d*v + d22*v^2 + d21*uv).
-    The two fluxes are the rows of one (2, n) array F, and ``lap`` is applied
-    to both in one product, ``lap @ F.T``, which reads L once instead of once
-    per nonzero transport coefficient.  Zero coefficients add nothing to the
-    fluxes, so the default d11 = d22 = 0 computes no squares.
-    Summing the flux before applying L associates differently from summing
-    d*(L u), d11*(L u^2), ... term by term, so the two agree to rounding, not
-    bit for bit.
+    ``y`` holds the densities u and v as the rows of a (2, n) array, or a
+    stack (B, 2, n) of B such states; the result has the shape of ``y``.
+    In matrix form, with Y = (u, v) and * the elementwise product,
+
+        dY/dt = Y * (r - A Y) - L (Y * (d + D0 Y)),
+        r = (r1, r2),  A = [[a1, b1], [b2, a2]],  D0 = [[d11, d12], [d21, d22]],
+
+    so the reaction of u is u*(r1 - a1*u - b1*v) and its flux is
+    d*u + d11*u^2 + d12*uv, with the mirror terms for v.  A and D0 are the
+    rows of one (4, 2) matrix, applied to Y in one product.  ``lap`` is
+    applied to both fluxes of a state in one product, ``lap @ flux.T``; a
+    stack makes that one call with one (n, n) by (n, 2) product per state,
+    so a state's derivative does not depend on the others in the stack, and
+    no symmetry of ``lap`` is assumed.  ``reaction_terms`` and a term-by-term
+    sum of the flux group the arithmetic differently, so they agree with
+    this to rounding, not bit for bit.
     """
-    if u.shape != v.shape or lap.shape != (u.size, u.size):
-        raise ValueError(f"shape mismatch: u {u.shape}, v {v.shape}, laplacian {lap.shape}")
-    flux = np.zeros((2, u.size))
-    if p.d != 0.0:
-        flux[0] += p.d * u
-        flux[1] += p.d * v
-    if p.d11 != 0.0:
-        flux[0] += p.d11 * (u * u)
-    if p.d22 != 0.0:
-        flux[1] += p.d22 * (v * v)
-    uv = u * v
-    if p.d12 != 0.0:
-        flux[0] += p.d12 * uv
-    if p.d21 != 0.0:
-        flux[1] += p.d21 * uv
-    transport = lap @ flux.T
-    fu, gv = reaction_terms(u, v, p)
-    return fu - transport[:, 0], gv - transport[:, 1]
+    n = lap.shape[0]
+    if y.shape[-2:] != (2, n) or lap.shape != (n, n):
+        raise ValueError(f"shape mismatch: state {y.shape}, laplacian {lap.shape}")
+    coef = np.array(((p.a1, p.b1), (p.b2, p.a2), (p.d11, p.d12), (p.d21, p.d22)))
+    cy = coef @ y
+    flux = cy[..., 2:, :] + p.d
+    flux *= y
+    transport = lap @ flux.swapaxes(-1, -2)
+    out = np.array(((p.r1,), (p.r2,))) - cy[..., :2, :]
+    out *= y
+    out -= transport.swapaxes(-1, -2)
+    return out
 
 
 # Dormand-Prince 5(4) tableau; row 6 doubles as the 5th-order weights (FSAL)
@@ -186,150 +189,231 @@ class _SampleBuffer:
             self._stride *= 2
 
 
-def _initial_step(f, y0, f0, scale, t_max):
-    # standard two-probe startup heuristic
-    d0 = sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d1 < 1e-10 or d0 < 1e-10 else 0.01 * d0 / d1
-    h0 = min(h0, t_max)
-    f1 = f(y0 + h0 * f0)
-    d2 = sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_max)
+class _Member:
+    """Step size, controller state, samples and counters of one state of a batch."""
+
+    def __init__(self, init: NetworkState, y0: np.ndarray, cfg: IntegratorConfig):
+        self.cfg = cfg
+        self.t = float(init.t)
+        self.t_end = self.t + cfg.t_max
+        self.h = 0.0
+        self.err_prev = 1e-4
+        self.buffer = _SampleBuffer(cfg.sample_dt, self.t, y0)
+        self.evals = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.clamps = 0
+        self.positivity_violated = False
+        self.min_state = float(y0.min())
+        self.residual = 0.0  # max |F| at the current state
+        self.result: SimulationResult | None = None
+        self.error: IntegrationError | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.result is not None or self.error is not None
+
+    def finish(self, y: np.ndarray, reason: str) -> None:
+        if self.buffer.times[-1] != self.t:
+            self.buffer.record(self.t, y, force=True)
+        n = y.size // 2
+        states = np.stack(self.buffer.states)
+        converged = reason == "steady_state"
+        self.result = SimulationResult(
+            final=NetworkState(u=y[:n].copy(), v=y[n:].copy(), t=self.t),
+            converged=converged,
+            t_converged=self.t if converged else None,
+            times=np.asarray(self.buffer.times),
+            u_traj=states[:, :n],
+            v_traj=states[:, n:],
+            positivity_violated=self.positivity_violated,
+            steps_accepted=self.accepted,
+            steps_rejected=self.rejected,
+            rhs_evaluations=self.evals,
+            reason=reason,
+            final_residual=self.residual,
+            positivity_clamps=self.clamps,
+            min_state=self.min_state,
+            config=self.cfg,
+        )
 
 
-def integrate(rhs, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig()) -> SimulationResult:
-    """Advance ``d(u,v)/dt = rhs(u, v)`` from ``init`` until steady state.
+def _first_error(members: list[_Member]) -> IntegrationError | None:
+    """The error of the first failed member, once every member before it has
+    finished: the error that integrating the states one by one would raise."""
+    for m in members:
+        if m.error is not None:
+            return m.error
+        if m.result is None:
+            return None
+    return None
 
-    ``rhs`` maps two length-n arrays to two length-n arrays.  Stops on
-    steady state (converged), ``t_max``, or ``max_steps``; raises
-    IntegrationError on step-size underflow or when the state leaves the
-    representable range entirely.
+
+def _evaluate(field, states: np.ndarray) -> np.ndarray:
+    """``field`` on flat (b, 2n) states, returned flat."""
+    b = states.shape[0]
+    return field(states.reshape(b, 2, -1)).reshape(b, -1)
+
+
+def _rms(x: np.ndarray, scale: np.ndarray) -> list[float]:
+    """Root mean square of ``x / scale`` over each row (the sum and division of ``np.mean``)."""
+    q = x / scale
+    q *= q
+    return np.sqrt(np.add.reduce(q, axis=1) / q.shape[1]).tolist()
+
+
+def integrate_batch(field, inits: Sequence[NetworkState], cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+    """Advance ``dY/dt = field(Y)`` from each state of ``inits`` until it stops.
+
+    ``field`` maps a (b, 2, n) stack of states, u and v as the rows of each,
+    to their time derivatives, and must treat the states of the stack
+    independently.  Every state is integrated as if it were alone: it keeps
+    its own step size, PI controller, accept/reject decisions, FSAL stage,
+    clamps, stop test, samples and counters, and it leaves the batch when it
+    stops on steady state (converged), ``t_max`` or ``max_steps``.  The
+    states share each field call, and each array operation of the loop acts
+    on every state's row on its own, so a state's result is bit for bit the
+    one it gets in a batch of one.  Returns one SimulationResult per initial
+    state, in order.
+
+    A state whose step size underflows, or that leaves the representable
+    range entirely, fails with an IntegrationError.  The error raised is
+    that of the first failing state in ``inits`` order, as soon as every
+    state before it has stopped: the error a one-by-one run would raise.
     """
-    n = init.u.size
-    y = np.concatenate((init.u, init.v)).astype(float)
-    if not np.isfinite(y).all():
-        raise IntegrationError("initial state contains non-finite values", init.t)
+    y = np.stack([np.concatenate((s.u, s.v)) for s in inits]).astype(float)
+    members = [_Member(init, row, cfg) for init, row in zip(inits, y)]
+    for m, row in zip(members, y):
+        if not np.isfinite(row).all():
+            m.error = IntegrationError("initial state contains non-finite values", m.t)
+    live = [j for j, m in enumerate(members) if not m.done]
+    if not live:
+        raise _first_error(members)
+    active = [members[j] for j in live]
+    y = y[live]
 
-    evals = 0
-
-    def f(state: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += 1
-        du, dv = rhs(state[:n], state[n:])
-        return np.concatenate((du, dv))
-
-    t = float(init.t)
-    t_end = t + cfg.t_max
-    buffer = _SampleBuffer(cfg.sample_dt, t, y)
-
-    k = np.empty((7, 2 * n))
-    k[0] = f(y)
-    positivity_violated = False
-    clamps = 0
-    min_state = float(y.min())
-    accepted = 0
-    rejected = 0
-    # max |F| at the current state; the steady-state test and the result use it
-    residual = float(np.max(np.abs(k[0])))
-    converged = residual <= cfg.steady_state_tol
-    reason = "steady_state" if converged else ""
-    t_converged = t if converged else None
-
-    scale0 = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-    h = _initial_step(f, y, k[0], scale0, cfg.t_max) if not converged else 0.0
-    err_prev = 1e-4
-
-    while not converged:
-        if t >= t_end:
-            reason = "t_max"
-            break
-        if accepted + rejected >= cfg.max_steps:
-            reason = "max_steps"
-            break
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", t)
-
-        for i in range(1, 6):
-            k[i] = f(y + h * (_DP_A[i, :i] @ k[:i]))
-        y_new = y + h * (_DP_A[6, :6] @ k[:6])
-        k[6] = f(y_new)
-
-        err_vec = h * (_DP_ERR @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = sqrt(float(np.mean((err_vec / scale) ** 2)))
-
-        if not np.isfinite(err) or err > 1.0:
-            rejected += 1
-            factor = _MIN_FACTOR if not np.isfinite(err) else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            h *= factor
-            continue
-
-        t += h
-        y = y_new
-        f_new = k[6]
-        step_min = float(y.min())
-        min_state = min(min_state, step_min)
-        if step_min < 0.0:
-            deep = y < -10.0 * cfg.abs_tol
-            if deep.any():
-                positivity_violated = True
-            shallow = (y < 0.0) & ~deep
-            if shallow.any():
-                clamps += 1
-                y = y.copy()
-                y[shallow] = 0.0
-                f_new = f(y)
-        accepted += 1
-        buffer.record(t, y)
-
-        residual = float(np.max(np.abs(f_new)))
+    f0 = _evaluate(field, y)
+    live = []
+    for j, (m, residual) in enumerate(zip(active, np.abs(f0).max(axis=1).tolist())):
+        m.evals += 1
+        m.residual = residual
         if residual <= cfg.steady_state_tol:
-            converged = True
-            reason = "steady_state"
-            t_converged = t
-            break
-        if not np.isfinite(y).all():
-            raise IntegrationError("state became non-finite", t)
-
-        if err == 0.0:
-            factor = _MAX_FACTOR
+            m.finish(y[j], "steady_state")
         else:
-            factor = _SAFETY * err ** -_BETA1 * err_prev ** _BETA2
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
-        k[0] = f_new
+            live.append(j)
+    active = [active[j] for j in live]
+    y, f0 = y[live], f0[live]
 
-    if buffer.times[-1] != t:
-        buffer.record(t, y, force=True)
-    times = np.asarray(buffer.times)
-    states = np.stack(buffer.states)
-    final = NetworkState(u=y[:n].copy(), v=y[n:].copy(), t=t)
-    return SimulationResult(
-        final=final,
-        converged=converged,
-        t_converged=t_converged,
-        times=times,
-        u_traj=states[:, :n],
-        v_traj=states[:, n:],
-        positivity_violated=positivity_violated,
-        steps_accepted=accepted,
-        steps_rejected=rejected,
-        rhs_evaluations=evals,
-        reason=reason,
-        final_residual=residual,
-        positivity_clamps=clamps,
-        min_state=min_state,
-        config=cfg,
-    )
+    if active:
+        # initial step sizes: the standard two-probe startup heuristic
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
+        d0, d1 = _rms(y, scale), _rms(f0, scale)
+        h0 = [min(1e-6 if a < 1e-10 or b < 1e-10 else 0.01 * a / b, cfg.t_max) for a, b in zip(d0, d1)]
+        f1 = _evaluate(field, y + np.array(h0)[:, None] * f0)
+        for m, h, b, c in zip(active, h0, d1, _rms(f1 - f0, scale)):
+            m.evals += 1
+            d2 = c / h
+            h1 = max(1e-6, h * 1e-3) if max(b, d2) <= 1e-15 else (0.01 / max(b, d2)) ** 0.2
+            m.h = min(100.0 * h, h1, cfg.t_max)
+
+    k = np.empty((len(active), 7, y.shape[1]))
+    k[:, 0] = f0
+    while active:
+        live = []
+        for j, m in enumerate(active):
+            if m.done:
+                continue
+            if m.t >= m.t_end:
+                m.finish(y[j], "t_max")
+            elif m.accepted + m.rejected >= cfg.max_steps:
+                m.finish(y[j], "max_steps")
+            else:
+                m.h = min(m.h, m.t_end - m.t)
+                if m.h < 1e-14 * max(1.0, abs(m.t)):
+                    m.error = IntegrationError("step size underflow", m.t)
+                else:
+                    live.append(j)
+        error = _first_error(members)
+        if error is not None:
+            raise error
+        if len(live) < len(active):
+            active = [active[j] for j in live]
+            y, k = y[live], k[live]
+            if not active:
+                break
+
+        h = np.array([m.h for m in active])[:, None]
+        for i in range(1, 6):
+            k[:, i] = _evaluate(field, y + h * (_DP_A[i, :i] @ k[:, :i]))
+        y_new = y + h * (_DP_A[6, :6] @ k[:, :6])
+        k[:, 6] = _evaluate(field, y_new)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        errs = _rms(h * (_DP_ERR @ k), scale)
+
+        accept = []
+        for m, err in zip(active, errs):
+            m.evals += 6
+            ok = isfinite(err) and err <= 1.0
+            accept.append(ok)
+            if not ok:
+                m.rejected += 1
+                m.h *= _MIN_FACTOR if not isfinite(err) else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+        if all(accept):
+            y = y_new
+        else:
+            y[accept] = y_new[accept]
+
+        # exact solutions stay non-negative: clamp shallow undershoots to 0
+        # and re-evaluate those states, flag deeper ones
+        clamped = []
+        for j, (m, ok, step_min) in enumerate(zip(active, accept, y_new.min(axis=1).tolist())):
+            if not ok:
+                continue
+            m.t += m.h
+            m.min_state = min(m.min_state, step_min)
+            if step_min < 0.0:
+                deep = y[j] < -10.0 * cfg.abs_tol
+                if deep.any():
+                    m.positivity_violated = True
+                shallow = (y[j] < 0.0) & ~deep
+                if shallow.any():
+                    m.clamps += 1
+                    m.evals += 1
+                    y[j, shallow] = 0.0
+                    clamped.append(j)
+        if clamped:
+            k[clamped, 6] = _evaluate(field, y[clamped])
+
+        residuals = np.abs(k[:, 6]).max(axis=1).tolist()
+        finite = np.isfinite(y).all(axis=1).tolist()
+        for j, (m, ok, err) in enumerate(zip(active, accept, errs)):
+            if not ok:
+                continue
+            m.accepted += 1
+            m.buffer.record(m.t, y[j])
+            m.residual = residuals[j]
+            if m.residual <= cfg.steady_state_tol:
+                m.finish(y[j], "steady_state")
+            elif not finite[j]:
+                m.error = IntegrationError("state became non-finite", m.t)
+            else:
+                factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -_BETA1 * m.err_prev ** _BETA2
+                m.h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                m.err_prev = max(err, 1e-10)
+        if all(accept):
+            k[:, 0] = k[:, 6]
+        else:
+            k[accept, 0] = k[accept, 6]
+
+    error = _first_error(members)
+    if error is not None:
+        raise error
+    return [m.result for m in members]
 
 
-def simulate_skt(p: SktParams, lap: np.ndarray, init: NetworkState, cfg: IntegratorConfig = IntegratorConfig()) -> SimulationResult:
-    return integrate(lambda u, v: rhs(u, v, p, lap), init, cfg)
+def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[NetworkState], cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch."""
+    return integrate_batch(lambda y: rhs(y, p, lap), inits, cfg)
 
 
 def perturb_homogeneous(

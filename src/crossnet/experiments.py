@@ -208,7 +208,9 @@ def simulate_and_report(
 ) -> list[SeedRunResult]:
     """Perturb the coexistence state, integrate to steady state, summarize.
 
-    One run per perturbation seed on a single graph realization.  With
+    One run per perturbation seed on a single graph realization; the runs
+    are integrated as one batch, and each run's result is the one it gets
+    alone.  With
     ``out_dir`` set, writes the canonical file set (manifest.json,
     spectrum.csv, report.json, trajectory.csv, final_state.csv); multi-seed
     runs place the per-seed CSVs in ``seed_<s>/`` subdirectories.
@@ -219,11 +221,11 @@ def simulate_and_report(
     spectrum = spectra.eig_symmetric(lap)
     report = stability_report(skt, spectrum)
 
-    runs = []
-    for seed in seeds:
-        init = perturb_homogeneous(eq, g.n_nodes, perturbation, seed)
-        result = simulate_skt(skt, lap, init, cfg)
-        runs.append(SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq)))
+    inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
+    runs = [
+        SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq))
+        for seed, result in zip(seeds, simulate_skt(skt, lap, inits, cfg))
+    ]
 
     if out_dir is not None:
         _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, spectrum, report, runs)

@@ -211,7 +211,7 @@ def test_criterion_07_patterned_dynamics_abundance_shift():
     du, dv = [], []
     for seed in range(5):
         init = perturb_homogeneous(eq, 100, magnitude=0.01, seed=seed)
-        res = simulate_skt(p, lap, init, cfg)
+        res = simulate_skt(p, lap, [init], cfg)[0]
         m = pattern_metrics(res.final, eq)
         assert res.converged, f"seed {seed} did not converge: {res.reason}"
         assert m.heterogeneity > 1e-2, f"seed {seed} stayed homogeneous"
@@ -238,7 +238,7 @@ def test_criterion_08_no_cross_diffusion_control():
     worst = 0.0
     for seed in range(5):
         init = perturb_homogeneous(eq, 100, magnitude=0.01, seed=seed)
-        res = simulate_skt(p, lap, init, cfg)
+        res = simulate_skt(p, lap, [init], cfg)[0]
         assert res.converged, f"seed {seed} did not converge: {res.reason}"
         worst = max(worst, pattern_metrics(res.final, eq).heterogeneity)
     elapsed = time.perf_counter() - t0
@@ -269,7 +269,7 @@ def test_criterion_09_positivity_randomized_runs():
             d11=float(rng.uniform(0, 0.5)), d22=float(rng.uniform(0, 0.5)),
         )
         init = NetworkState(rng.uniform(0.0, 3.0, g.n_nodes), rng.uniform(0.0, 3.0, g.n_nodes))
-        res = simulate_skt(p, build_laplacian(g), init, IntegratorConfig(t_max=50.0, steady_state_tol=1e-7))
+        res = simulate_skt(p, build_laplacian(g), [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-7))[0]
         if res.positivity_violated:
             failures.append(trial)
     elapsed = time.perf_counter() - t0
@@ -291,7 +291,7 @@ def test_criterion_10_linear_growth_rate_fit():
 
     init = perturb_homogeneous(eq, 100, magnitude=1e-4, seed=0)
     cfg = IntegratorConfig(t_max=120.0, steady_state_tol=1e-30, sample_dt=1.0)
-    res = simulate_skt(p, lap, init, cfg)
+    res = simulate_skt(p, lap, [init], cfg)[0]
     times, c, b = mode_amplitude_series(res, eq, spec.eigenvectors)
     # ring modes come in degenerate pairs; track the total amplitude on the pair
     pair = np.abs(spec.eigenvalues - spec.eigenvalues[imax]) < 1e-9
@@ -326,7 +326,7 @@ def test_criterion_11_stencil_matches_network_rhs():
             u = rng.uniform(0.0, 5.0, n)
             v = rng.uniform(0.0, 5.0, n)
             fu_s, fv_s = stencil_rhs(u, v, pde)
-            fu_n, fv_n = rhs(u, v, net_params, lap)
+            fu_n, fv_n = rhs(np.stack((u, v)), net_params, lap)
             for s_side, n_side in ((fu_s, fu_n), (fv_s, fv_n)):
                 scale = max(1.0, float(np.abs(n_side).max()))
                 worst_rel = max(worst_rel, float(np.abs(s_side - n_side).max()) / scale)

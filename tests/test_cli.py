@@ -100,7 +100,7 @@ def test_stability_with_self_diffusion_matches_simulation(capsys, tmp_path):
     eq = equilibrium(cfg.skt)
     lap = build_laplacian(build_graph(cfg.graph))
     init = perturb_homogeneous(eq, lap.shape[0], cfg.experiment.perturbation, seed=0)
-    res = simulate_skt(cfg.skt, lap, init, cfg.integrator)
+    res = simulate_skt(cfg.skt, lap, [init], cfg.integrator)[0]
     assert res.converged
     assert pattern_metrics(res.final, eq).heterogeneity < 1e-4
 
@@ -202,6 +202,43 @@ def test_perturbation_of_one_is_a_config_error(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(out)["error"] == "config"
+
+
+def test_repeated_seeds_are_a_config_error(capsys, tmp_path):
+    out_dir = tmp_path / "dup"
+    code, out = run_cli(capsys, "simulate", "--output-dir", str(out_dir), "--set", "experiment.seeds=[3,3]")
+    assert code == 2
+    assert json.loads(out)["error"] == "config"
+    assert not out_dir.exists()
+
+
+def test_seed_files_do_not_depend_on_the_other_seeds_of_the_command(capsys, tmp_path):
+    # the seeds of one command are integrated as one batch
+    args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20"]
+    alone, batch = tmp_path / "alone", tmp_path / "batch"
+    assert main(args + ["--set", "experiment.seeds=[1]", "--output-dir", str(alone)]) == 0
+    assert main(args + ["--set", "experiment.seeds=[0,1,2]", "--output-dir", str(batch)]) == 0
+    capsys.readouterr()
+    for name in ("trajectory.csv", "final_state.csv"):
+        assert (alone / name).read_bytes() == (batch / "seed_1" / name).read_bytes(), name
+    runs = json.loads((batch / "report.json").read_text())["runs"]
+    assert [r["seed"] for r in runs] == [0, 1, 2]
+    assert json.loads((alone / "report.json").read_text())["runs"] == [runs[1]]
+
+
+def test_a_failing_seed_fails_the_command_with_no_files(capsys, tmp_path):
+    # tolerances this loose make every seed's step size underflow; the command
+    # reports the error of its first seed, as integrating seed by seed would
+    args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=2",
+            "--set", "integrator.rel_tol=0.5", "--set", "integrator.abs_tol=0.5"]
+    first_dir, all_dir = tmp_path / "first", tmp_path / "all"
+    code, first = run_cli(capsys, *args, "--set", "experiment.seeds=[0]", "--output-dir", str(first_dir))
+    assert code == 3
+    code, out = run_cli(capsys, *args, "--set", "experiment.seeds=[0,1,2,3]", "--output-dir", str(all_dir))
+    assert code == 3
+    assert json.loads(out) == json.loads(first)
+    assert json.loads(out)["error"] == "numerical"
+    assert not all_dir.exists() or not any(all_dir.iterdir())
 
 
 def test_exit_code_4_on_io_error(capsys):

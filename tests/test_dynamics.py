@@ -25,7 +25,7 @@ from crossnet import (
     equilibrium,
     gen_path,
     gen_ring,
-    integrate,
+    integrate_batch,
     mode_amplitudes,
     pattern_metrics,
     perturb_homogeneous,
@@ -37,6 +37,11 @@ from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.graphs import GraphSpec
 
 P = DEFAULT_SKT_PARAMS
+
+
+def _per_species(fn):
+    """A batch field from a function (u, v) -> (du, dv) of one state's rows."""
+    return lambda y: np.stack(fn(y[:, 0], y[:, 1]), axis=1)
 
 
 def logistic_exact(u0: float, r: float, a: float, t: float) -> float:
@@ -52,7 +57,7 @@ def test_single_node_logistic_matches_closed_form():
     init = NetworkState(np.array([0.2]), np.array([0.0]))
     lap = np.zeros((1, 1))
     cfg = IntegratorConfig(t_max=3.0, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, init, cfg)
+    res = simulate_skt(p, lap, [init], cfg)[0]
     expect = logistic_exact(0.2, 1.3, 0.7, 3.0)
     assert res.final.u[0] == pytest.approx(expect, rel=1e-7)
     assert res.final.v[0] == 0.0  # zero stays zero exactly
@@ -67,7 +72,7 @@ def test_pure_diffusion_matches_matrix_exponential():
     v0 = rng.uniform(0.5, 2.0, 16)
     t_end = 1.5
     cfg = IntegratorConfig(t_max=t_end, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, NetworkState(u0, v0), cfg)
+    res = simulate_skt(p, lap, [NetworkState(u0, v0)], cfg)[0]
     s = eig_symmetric(lap, want_vectors=True)
     decay = s.eigenvectors @ np.diag(np.exp(-p.d * s.eigenvalues * t_end)) @ s.eigenvectors.T
     assert np.allclose(res.final.u, decay @ u0, atol=1e-7)
@@ -82,7 +87,7 @@ def test_pure_diffusion_conserves_totals():
     u0 = rng.uniform(0.5, 2.0, 12)
     v0 = rng.uniform(0.5, 2.0, 12)
     cfg = IntegratorConfig(t_max=2.0, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, NetworkState(u0, v0), cfg)
+    res = simulate_skt(p, lap, [NetworkState(u0, v0)], cfg)[0]
     # transport terms are Laplacian images, so node totals are invariant
     assert res.final.u.sum() == pytest.approx(u0.sum(), rel=1e-10)
     assert res.final.v.sum() == pytest.approx(v0.sum(), rel=1e-10)
@@ -93,7 +98,7 @@ def test_homogeneous_equilibrium_converges_immediately():
     g = gen_ring(10, 2)
     lap = build_laplacian(g)
     init = NetworkState(np.full(10, eq.u_star), np.full(10, eq.v_star))
-    res = simulate_skt(P, lap, init, IntegratorConfig())
+    res = simulate_skt(P, lap, [init], IntegratorConfig())[0]
     assert res.converged
     assert res.t_converged == 0.0
     assert np.array_equal(res.final.u, init.u)
@@ -116,10 +121,16 @@ def test_rhs_zero_coupling_reduces_to_reaction():
     v = np.array([0.1, 0.2, 0.3])
     lap = build_laplacian(gen_path(3))
     p = SktParams(r1=2.0, r2=1.0, a1=1.0, a2=1.0, b1=0.5, b2=0.5)
-    du, dv = rhs(u, v, p, lap)
+    y = np.stack((u, v))
+    du, dv = rhs(y, p, lap)
+    # zero transport coefficients give a zero flux, so transport is exactly 0
+    assert np.array_equal(rhs(y, p, np.zeros_like(lap)), np.stack((du, dv)))
+    # the field groups r1 - a1*u - b1*v as r1 - (a1*u + b1*v), so it meets
+    # reaction_terms to rounding: a few ulps of the terms' magnitude
     fu, fv = reaction_terms(u, v, p)
-    assert np.array_equal(du, fu)
-    assert np.array_equal(dv, fv)
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(du - fu) <= 4 * ulp * u * (p.r1 + p.a1 * u + p.b1 * v))
+    assert np.all(np.abs(dv - fv) <= 4 * ulp * v * (p.r2 + p.b2 * u + p.a2 * v))
 
 
 class _CountingLaplacian:
@@ -151,10 +162,22 @@ def test_rhs_applies_the_laplacian_once_per_call():
     for p in (P, all_nonzero):
         counting = _CountingLaplacian(lap)
         for calls in range(1, 4):
-            du, dv = rhs(u, v, p, counting)
+            du, dv = rhs(np.stack((u, v)), p, counting)
             assert counting.applications == calls
-        expect_du, expect_dv = rhs(u, v, p, lap)
+        expect_du, expect_dv = rhs(np.stack((u, v)), p, lap)
         assert np.array_equal(du, expect_du) and np.array_equal(dv, expect_dv)
+
+    # a stack of six states is one application too, and each state's
+    # derivative is the one it gets alone
+    stack = rng.uniform(0.1, 2.0, (6, 2, 12))
+    for p in (P, all_nonzero):
+        counting = _CountingLaplacian(lap)
+        for calls in range(1, 4):
+            out = rhs(stack, p, counting)
+            assert counting.applications == calls
+        assert out.shape == stack.shape
+        for state, derivative in zip(stack, out):
+            assert np.array_equal(derivative, rhs(state, p, lap))
 
 
 def test_rhs_matches_bruteforce_formula():
@@ -178,7 +201,7 @@ def test_rhs_matches_bruteforce_formula():
         u = rng.uniform(0.1, 2.0, 7)
         v = rng.uniform(0.1, 2.0, 7)
         for lap in operators:
-            du, dv = rhs(u, v, p, lap)
+            du, dv = rhs(np.stack((u, v)), p, lap)
             for i in range(7):
                 acc_u = u[i] * (p.r1 - p.a1 * u[i] - p.b1 * v[i])
                 acc_v = v[i] * (p.r2 - p.b2 * u[i] - p.a2 * v[i])
@@ -223,8 +246,8 @@ def test_rhs_linearization_is_the_stability_mode_matrix():
         for lam, phi in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
             expect = eq.j_star - lam * eq.d_star
             for col, (du_dir, dv_dir) in enumerate(((phi, zero), (zero, phi))):
-                plus = rhs(u0 + h * du_dir, v0 + h * dv_dir, p, lap)
-                minus = rhs(u0 - h * du_dir, v0 - h * dv_dir, p, lap)
+                plus = rhs(np.stack((u0 + h * du_dir, v0 + h * dv_dir)), p, lap)
+                minus = rhs(np.stack((u0 - h * du_dir, v0 - h * dv_dir)), p, lap)
                 for row in range(2):
                     deriv = (plus[row] - minus[row]) / (2.0 * h)
                     assert np.abs(deriv - expect[row, col] * phi).max() <= 1e-6
@@ -286,9 +309,9 @@ def test_converged_flag_is_sound():
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 30, magnitude=1e-2, seed=1)
     cfg = IntegratorConfig(steady_state_tol=1e-6)
-    res = simulate_skt(P, lap, init, cfg)
+    res = simulate_skt(P, lap, [init], cfg)[0]
     assert res.converged
-    du, dv = rhs(res.final.u, res.final.v, P, lap)
+    du, dv = rhs(np.stack((res.final.u, res.final.v)), P, lap)
     assert res.final_residual == max(np.abs(du).max(), np.abs(dv).max()) <= cfg.steady_state_tol
     assert res.t_converged == res.final.t
 
@@ -298,7 +321,7 @@ def test_t_max_stop_reason():
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, init, IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))[0]
     assert not res.converged
     assert res.reason == "t_max"
     assert res.final.t == pytest.approx(1.0, abs=1e-12)
@@ -309,7 +332,7 @@ def test_max_steps_stop_reason():
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, init, IntegratorConfig(max_steps=5, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(max_steps=5, steady_state_tol=1e-30))[0]
     assert not res.converged
     assert res.reason == "max_steps"
     assert res.steps_accepted <= 5
@@ -324,7 +347,7 @@ def test_nonfinite_state_raises_with_time():
         return u * u * 100.0, v * 0.0
 
     with pytest.raises(IntegrationError) as err:
-        integrate(explosive, init, IntegratorConfig(t_max=10.0, steady_state_tol=1e-30))
+        integrate_batch(_per_species(explosive), [init], IntegratorConfig(t_max=10.0, steady_state_tol=1e-30))
     assert err.value.time is not None
 
 
@@ -334,8 +357,8 @@ def test_integrator_deterministic():
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 20, magnitude=1e-2, seed=5)
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-30)
-    r1 = simulate_skt(P, lap, init, cfg)
-    r2 = simulate_skt(P, lap, init, cfg)
+    r1 = simulate_skt(P, lap, [init], cfg)[0]
+    r2 = simulate_skt(P, lap, [init], cfg)[0]
     assert np.array_equal(r1.final.u, r2.final.u)
     assert np.array_equal(r1.times, r2.times)
     assert r1.steps_accepted == r2.steps_accepted
@@ -349,7 +372,7 @@ def test_tighter_tolerance_reduces_error():
     errs = []
     for rt in (1e-5, 1e-8, 1e-11):
         cfg = IntegratorConfig(rel_tol=rt, abs_tol=rt * 1e-2, t_max=3.0, steady_state_tol=1e-30)
-        res = simulate_skt(p, lap, init, cfg)
+        res = simulate_skt(p, lap, [init], cfg)[0]
         errs.append(abs(res.final.u[0] - expect))
     assert errs[0] > errs[2]
     assert errs[2] < 1e-10
@@ -360,7 +383,7 @@ def test_sampling_honors_sample_dt():
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, init, IntegratorConfig(t_max=10.0, sample_dt=1.0, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=10.0, sample_dt=1.0, steady_state_tol=1e-30))[0]
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(10.0, abs=1e-12)
     # grid-aligned sampling: at most one sample per sample_dt interval
@@ -374,7 +397,7 @@ def test_trajectory_buffer_is_bounded():
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, init, IntegratorConfig(t_max=300.0, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=300.0, steady_state_tol=1e-30))[0]
     assert res.times.size <= 4096
 
 
@@ -383,7 +406,7 @@ def test_positivity_check_and_flag():
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 15, magnitude=1e-2, seed=2)
-    res = simulate_skt(P, lap, init, IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))[0]
     assert not res.positivity_violated
 
 
@@ -393,7 +416,7 @@ def test_shallow_undershoots_are_clamped_counted_and_reported():
     # every step that ends below it, and records the lowest unclamped value
     cfg = IntegratorConfig(t_max=40.0, steady_state_tol=0.0)
     eps = 5.0 * cfg.abs_tol
-    res = integrate(lambda u, v: (-u - eps, np.zeros_like(v)), NetworkState([1.0], [0.5]), cfg)
+    res = integrate_batch(_per_species(lambda u, v: (-u - eps, np.zeros_like(v))), [NetworkState([1.0], [0.5])], cfg)[0]
     assert not res.positivity_violated
     assert res.positivity_clamps >= 1
     assert res.positivity_clamps <= res.steps_accepted
@@ -401,9 +424,86 @@ def test_shallow_undershoots_are_clamped_counted_and_reported():
     assert res.final.u[0] == 0.0 and res.final.v[0] == 0.5
 
     # a growing state clamps nothing; its minimum is the initial one
-    res = integrate(lambda u, v: (u, np.zeros_like(v)), NetworkState([1.0], [0.5]), dataclasses.replace(cfg, t_max=1.0))
+    res = integrate_batch(_per_species(lambda u, v: (u, np.zeros_like(v))), [NetworkState([1.0], [0.5])], dataclasses.replace(cfg, t_max=1.0))[0]
     assert res.positivity_clamps == 0
     assert res.min_state == 0.5
+
+
+# ----------------------------------------------------------------- batches
+
+
+def _assert_same_result(a, b):
+    """Every field of two SimulationResults is bit for bit equal."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, NetworkState):
+            assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v) and x.t == y.t, f.name
+        elif isinstance(x, np.ndarray):
+            assert x.shape == y.shape and np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@pytest.mark.parametrize("n, k, t_max", [(37, 3, 300.0), (400, 20, 30.0)])
+def test_batch_members_equal_their_solo_runs(n, k, t_max):
+    # mixed perturbation sizes give the members different step counts and
+    # fates (steady state or t_max), so they leave the batch at different steps
+    lap = build_laplacian(gen_ring(n, k))
+    eq = equilibrium(P)
+    inits = [perturb_homogeneous(eq, n, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
+    cfg = IntegratorConfig(t_max=t_max, steady_state_tol=1e-6)
+    solo = [simulate_skt(P, lap, [init], cfg)[0] for init in inits]
+    assert len({r.steps_accepted for r in solo}) > 1
+    assert {r.reason for r in solo} >= {"steady_state"}
+    for members in ((3, 0), (0, 1, 2, 3, 4)):
+        batch = simulate_skt(P, lap, [inits[j] for j in members], cfg)
+        assert len(batch) == len(members)
+        for j, res in zip(members, batch):
+            _assert_same_result(res, solo[j])
+
+
+def _relax_at_rate_v(y):
+    # u relaxes at rate v towards -eps, a shallow undershoot of 0; v is constant
+    u, v = y[:, 0], y[:, 1]
+    return np.stack((-v * (u + 5e-10), np.zeros_like(v)), axis=1)
+
+
+def test_batch_with_mixed_fates_matches_solo_runs():
+    cfg = IntegratorConfig(t_max=40.0, steady_state_tol=0.0, max_steps=300)
+    u0 = [1.0, 0.5, 2.0]
+    rates = (1000.0, 0.0, 1.0, 0.01, 10.0)
+    inits = [NetworkState(u0, [rate] * 3) for rate in rates]
+    batch = integrate_batch(_relax_at_rate_v, inits, cfg)
+    for init, res in zip(inits, batch):
+        _assert_same_result(res, integrate_batch(_relax_at_rate_v, [init], cfg)[0])
+    stiff, steady, clamping, slow, fast = batch
+    assert steady.reason == "steady_state" and steady.steps_accepted == 0 and steady.rhs_evaluations == 1
+    assert slow.reason == "t_max" and slow.positivity_clamps == 0
+    assert clamping.reason == "t_max" and clamping.positivity_clamps >= 1 and not clamping.positivity_violated
+    assert fast.reason == "max_steps" and fast.steps_rejected == 0
+    assert stiff.reason == "max_steps" and stiff.steps_rejected >= 1
+
+
+def test_batch_raises_the_error_of_the_first_failing_member():
+    # du/dt = u*(v*u - 1) with u(0) = 1 blows up for v > 1 and decays for v < 1;
+    # the v = 100 member fails after fewer steps than the v = 1.05 member
+    def field(y):
+        u, v = y[:, 0], y[:, 1]
+        return np.stack((u * (v * u - 1.0), np.zeros_like(v)), axis=1)
+
+    cfg = IntegratorConfig(t_max=100.0, steady_state_tol=1e-30)
+    decays, late, early = (NetworkState([1.0], [v]) for v in (1e-3, 1.05, 100.0))
+    assert integrate_batch(field, [decays], cfg)[0].reason == "t_max"
+
+    def error(inits):
+        with pytest.raises(IntegrationError) as err:
+            integrate_batch(field, inits, cfg)
+        return str(err.value), err.value.time
+
+    for inits, first in (([decays, early], early), ([early, decays], early),
+                         ([late, early], late), ([decays, early, late], early)):
+        assert error(inits) == error([first])
+    assert error([late]) != error([early])
 
 
 def test_config_validation():
@@ -470,7 +570,7 @@ def test_trajectory_csv_layout(tmp_path):
     lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 4, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, init, IntegratorConfig(t_max=1.0, sample_dt=0.5, steady_state_tol=1e-30))
+    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=1.0, sample_dt=0.5, steady_state_tol=1e-30))[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(res, path)
     lines = path.read_text().strip().splitlines()

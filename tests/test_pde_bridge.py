@@ -49,7 +49,7 @@ def test_stencil_second_difference_constant_is_zero():
     v = np.full(9, 0.4)
     du_s, dv_s = stencil_rhs(u, v, p)
     skt, g = discretize_skt_1d(p)
-    du_n, dv_n = rhs(u, v, skt, build_laplacian(g))
+    du_n, dv_n = rhs(np.stack((u, v)), skt, build_laplacian(g))
     assert np.allclose(du_s, du_n, atol=1e-14)
     assert np.array_equal(du_s, np.full(9, 1.3 * (5.0 - 3.0 * 1.3 - 0.4)))
     assert np.allclose(dv_s, dv_n, atol=1e-14)
@@ -62,7 +62,7 @@ def test_stencil_second_difference_constant_is_zero():
 
 def assert_rhs_agree(p, skt, lap, u, v):
     du_s, dv_s = stencil_rhs(u, v, p)
-    du_n, dv_n = rhs(u, v, skt, lap)
+    du_n, dv_n = rhs(np.stack((u, v)), skt, lap)
     scale_u = max(1.0, float(np.abs(du_n).max()))
     scale_v = max(1.0, float(np.abs(dv_n).max()))
     assert np.abs(du_s - du_n).max() <= 1e-14 * scale_u
