@@ -10,9 +10,13 @@ import argparse
 
 from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, simulate_and_report
 
+RING_KS = (10, 15, 20)
+# a ring with k neighbors per side needs n >= 2k + 1 nodes
+MIN_N = 2 * max(RING_KS) + 1
+
 
 def default_cases(n: int) -> list[tuple[str, GraphSpec]]:
-    cases = [(f"ring_k{k}", GraphSpec(family="ring", n=n, k=k)) for k in (10, 15, 20)]
+    cases = [(f"ring_k{k}", GraphSpec(family="ring", n=n, k=k)) for k in RING_KS]
     cases += [
         (f"smallworld_p{p:g}", GraphSpec(family="watts-strogatz", n=n, k=15, p=p, seed=0))
         for p in (0.01, 0.05)
@@ -29,6 +33,8 @@ def main() -> None:
     ap.add_argument("--t-max", type=float, default=5000.0)
     ap.add_argument("--out", default="results/patterns")
     args = ap.parse_args()
+    if args.n < MIN_N:
+        ap.error(f"--n must be at least {MIN_N} for the k = {max(RING_KS)} rings, got {args.n}")
 
     cfg = IntegratorConfig(steady_state_tol=args.steady_tol, t_max=args.t_max)
     print(f"{'case':<16} {'seed':>4} {'converged':>9} {'t_conv':>8} "

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .config import RunConfig, build_run_config, load_config_doc
+from .config import RunConfig, load_config
 from .errors import ConfigError, CrossnetError
 from .graphs import (
     RANDOM_FAMILIES,
@@ -75,8 +75,7 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         overrides.append(f"output_dir={args.output_dir}")
     if args.master_seed is not None:
         overrides.append(f"master_seed={args.master_seed}")
-    doc = load_config_doc(args.config, overrides)
-    return build_run_config(doc), doc
+    return load_config(args.config, overrides)
 
 
 def _ensure_dir(path: str) -> None:
@@ -107,8 +106,8 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
     _ensure_dir(out)
     g = build_graph(cfg.graph)
-    spectrum = eig_symmetric(build_laplacian(g))
-    write_spectrum_csv(spectrum.eigenvalues, os.path.join(out, "spectrum.csv"))
+    eigenvalues = eig_symmetric(build_laplacian(g))
+    write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
     write_edge_list(g, os.path.join(out, "graph.txt"))
     experiments.write_manifest(
         os.path.join(out, "manifest.json"),
@@ -120,8 +119,8 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
         {
             "output_dir": out,
             "n_nodes": g.n_nodes,
-            "min_eigenvalue": spectrum.eigenvalues[0],
-            "max_eigenvalue": spectrum.eigenvalues[-1],
+            "min_eigenvalue": eigenvalues[0],
+            "max_eigenvalue": eigenvalues[-1],
             "files": ["spectrum.csv", "graph.txt", "manifest.json"],
         }
     )
@@ -132,13 +131,13 @@ def cmd_stability(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
     _ensure_dir(out)
     g = build_graph(cfg.graph)
-    spectrum = eig_symmetric(build_laplacian(g))
-    report = stability_report(cfg.skt, spectrum.eigenvalues)
+    eigenvalues = eig_symmetric(build_laplacian(g))
+    report = stability_report(cfg.skt, eigenvalues)
     payload = report_to_dict(report)
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    write_spectrum_csv(spectrum.eigenvalues, os.path.join(out, "spectrum.csv"))
+    write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
     experiments.write_manifest(
         os.path.join(out, "manifest.json"),
         graph=cfg.graph,

@@ -201,5 +201,6 @@ def build_run_config(doc: dict) -> RunConfig:
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> tuple[RunConfig, dict]:
+    """Typed RunConfig and the resolved dict it was built from."""
     doc = load_config_doc(path, overrides)
     return build_run_config(doc), doc

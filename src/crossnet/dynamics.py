@@ -35,8 +35,6 @@ __all__ = [
     "perturb_homogeneous",
     "pattern_metrics",
     "PatternMetrics",
-    "mode_amplitudes",
-    "mode_amplitude_series",
     "write_trajectory_csv",
     "write_final_state_csv",
 ]
@@ -469,33 +467,6 @@ def pattern_metrics(final: NetworkState, eq: Equilibrium | tuple[float, float]) 
         pct_change_u=100.0 * (total_u - n * u_star) / (n * u_star),
         pct_change_v=100.0 * (total_v - n * v_star) / (n * v_star),
     )
-
-
-def mode_amplitudes(
-    state: NetworkState,
-    eq: Equilibrium | tuple[float, float],
-    eigenvectors: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the deviation from equilibrium onto the Laplacian modes.
-
-    Returns (c, b) with ``c_j = <eigvec_j, u - u*>`` and likewise for v.
-    """
-    u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
-    c = eigenvectors.T @ (state.u - u_star)
-    b = eigenvectors.T @ (state.v - v_star)
-    return c, b
-
-
-def mode_amplitude_series(
-    result: SimulationResult,
-    eq: Equilibrium | tuple[float, float],
-    eigenvectors: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode projections along the sampled trajectory: (times, C, B)."""
-    u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
-    c = (result.u_traj - u_star) @ eigenvectors
-    b = (result.v_traj - v_star) @ eigenvectors
-    return result.times, c, b
 
 
 def write_trajectory_csv(result: SimulationResult, path) -> None:

@@ -144,7 +144,7 @@ def lattice_comparison(
     out: dict[str, LatticeResult] = {}
     for kind, (rows, cols) in dims.items():
         g = build_graph(GraphSpec(family=f"{kind}-lattice", rows=rows, cols=cols))
-        vals = spectra.eig_symmetric(build_laplacian(g)).eigenvalues
+        vals = spectra.eig_symmetric(build_laplacian(g))
         modes = classify_modes(vals, report)
         out[kind] = LatticeResult(
             kind=kind,
@@ -213,13 +213,16 @@ def simulate_and_report(
     alone.  With
     ``out_dir`` set, writes the canonical file set (manifest.json,
     spectrum.csv, report.json, trajectory.csv, final_state.csv); multi-seed
-    runs place the per-seed CSVs in ``seed_<s>/`` subdirectories.
+    runs place the per-seed CSVs in ``seed_<s>/`` subdirectories, so
+    repeated seeds raise ValueError before anything is integrated or written.
     """
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     g = build_graph(graph_spec)
     lap = build_laplacian(g)
     eq = equilibrium(skt)
-    spectrum = spectra.eig_symmetric(lap)
-    report = stability_report(skt, spectrum)
+    eigenvalues = spectra.eig_symmetric(lap)
+    report = stability_report(skt, eigenvalues)
 
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [
@@ -228,7 +231,7 @@ def simulate_and_report(
     ]
 
     if out_dir is not None:
-        _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, spectrum, report, runs)
+        _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, eigenvalues, report, runs)
     return runs
 
 
@@ -249,9 +252,9 @@ def _run_summary(run: SeedRunResult) -> dict:
     }
 
 
-def _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, spectrum, report, runs):
+def _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, eigenvalues, report, runs):
     os.makedirs(out_dir, exist_ok=True)
-    spectra.write_spectrum_csv(spectrum, os.path.join(out_dir, "spectrum.csv"))
+    spectra.write_spectrum_csv(eigenvalues, os.path.join(out_dir, "spectrum.csv"))
     write_edge_list(g, os.path.join(out_dir, "graph.txt"))
     payload = report_to_dict(report)
     payload["runs"] = [_run_summary(r) for r in runs]

@@ -3,7 +3,7 @@
 Deterministic families (rings, paths, planar lattices) and seeded random
 families (regular-random, small-world, binomial, preferential attachment),
 a combinatorial Laplacian builder, connectivity checks, and a plain-text
-edge-list format.
+edge-list writer.
 
 Conventions
 -----------
@@ -404,28 +404,6 @@ def write_edge_list(g: Graph, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{g.n_nodes}\n")
         fh.write("%d %d\n" * g.n_edges % tuple(g.edges.ravel().tolist()))
-
-
-def read_edge_list(path) -> Graph:
-    """Parse the edge-list format; malformed lines and bad edges raise ValueError."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty edge-list file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the node count, got {lines[0]!r}") from None
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: expected 'i j', got {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not i < j:
-            raise ValueError(f"{path}: edges must satisfy i < j, got {ln!r}")
-        edges.append((i, j))
-    return Graph(n, edges)
 
 
 def ensemble_specs(spec: GraphSpec, realizations: int, master_seed: int):

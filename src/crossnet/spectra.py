@@ -13,32 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolverError
-from .graphs import Graph, GraphSpec, build_graph, build_laplacian, ensemble_specs
+from .graphs import GraphSpec, build_graph, build_laplacian, ensemble_specs
 from .textio import fmt_float
 
 __all__ = [
-    "Spectrum",
     "SpectralStats",
     "eig_symmetric",
     "ring_spectrum_closed_form",
     "path_spectrum_closed_form",
-    "algebraic_connectivity",
-    "check_connectivity_bound",
     "ensemble_eigenvalues",
     "stats_from_eigenvalues",
     "write_spectrum_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues, optionally with the orthonormal eigenvector basis.
-
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -50,8 +36,8 @@ class SpectralStats:
     realizations: int
 
 
-def eig_symmetric(matrix: np.ndarray, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a dense symmetric real matrix (ascending).
+def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a dense symmetric real matrix, in ascending order.
 
     Backed by the LAPACK symmetric eigensolver; asymmetric input is
     rejected, and solver non-convergence surfaces as EigenSolverError.
@@ -63,10 +49,7 @@ def eig_symmetric(matrix: np.ndarray, want_vectors: bool = False) -> Spectrum:
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(a)
-            return Spectrum(vals, vecs)
-        return Spectrum(np.linalg.eigvalsh(a))
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
@@ -97,19 +80,6 @@ def path_spectrum_closed_form(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-def algebraic_connectivity(spectrum: Spectrum | np.ndarray) -> float:
-    """Second-smallest Laplacian eigenvalue; positive iff the graph connects."""
-    values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-    if values.size < 2:
-        raise ValueError("algebraic connectivity needs at least two nodes")
-    return float(values[1])
-
-
-def check_connectivity_bound(g: Graph, spectrum: Spectrum | np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff the algebraic connectivity respects lambda_2 <= 2*E/(n-1)."""
-    return algebraic_connectivity(spectrum) <= 2.0 * g.n_edges / (g.n_nodes - 1) + tol
-
-
 def stats_from_eigenvalues(eigs: np.ndarray) -> SpectralStats:
     """Per-index mean/variance over realization rows.
 
@@ -136,7 +106,7 @@ def ensemble_eigenvalues(
     """
 
     def one(member: GraphSpec) -> np.ndarray:
-        return eig_symmetric(build_laplacian(build_graph(member))).eigenvalues
+        return eig_symmetric(build_laplacian(build_graph(member)))
 
     members = ensemble_specs(spec, realizations, master_seed)
     if threads is None or threads <= 1:
@@ -148,9 +118,8 @@ def ensemble_eigenvalues(
     return np.stack(rows)
 
 
-def write_spectrum_csv(spectrum: Spectrum | np.ndarray, path) -> None:
-    values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
+def write_spectrum_csv(eigenvalues: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("index,eigenvalue\n")
-        for i, val in enumerate(values):
+        for i, val in enumerate(eigenvalues):
             fh.write(f"{i},{fmt_float(val)}\n")

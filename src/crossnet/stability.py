@@ -36,8 +36,6 @@ __all__ = [
     "jacobian_at_equilibrium",
     "diffusion_linearization",
     "equilibrium",
-    "characteristic_matrix",
-    "dispersion_growth_rate",
     "det_polynomials",
     "instability_region",
     "classify_modes",
@@ -155,24 +153,6 @@ def equilibrium(p: SktParams) -> Equilibrium:
         trace_j=float(j[0, 0] + j[1, 1]),
         det_j=float(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]),
     )
-
-
-def characteristic_matrix(j_star: np.ndarray, d_star: np.ndarray, lam: float) -> np.ndarray:
-    """Per-mode matrix ``J - lam * D`` for a Laplacian eigenvalue ``lam >= 0``."""
-    if lam < 0:
-        raise ValueError(f"Laplacian eigenvalues are non-negative, got {lam}")
-    return j_star - lam * d_star
-
-
-def dispersion_growth_rate(j_star: np.ndarray, d_star: np.ndarray, lam: float) -> float:
-    """Largest real part among the eigenvalues of the characteristic matrix."""
-    m = characteristic_matrix(j_star, d_star, lam)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        return 0.5 * (tr + sqrt(disc))
-    return 0.5 * tr
 
 
 def _det2(m: np.ndarray) -> float:
@@ -312,17 +292,16 @@ def det_sign_scan(
     return [(float(grid[i]), float(grid[i + 1])) for i in flips]
 
 
-def instability_region(p: SktParams, eq: Equilibrium | None = None, verify: bool = True) -> InstabilityReport:
+def instability_region(p: SktParams) -> InstabilityReport:
     """Mode-eigenvalue window with negative characteristic determinant.
 
     The closed-form roots of the determinant quadratic are cross-checked
     against a direct determinant sign scan around each root (grid step
     1e-3); disagreement raises StabilityError.
     """
-    if eq is None:
-        eq = equilibrium(p)
+    eq = equilibrium(p)
     report = det_polynomials(p, eq)
-    if verify and report.region is not None:
+    if report.region is not None:
         lo, hi = report.region
         # roots closer than the scan resolution cannot be bracketed separately
         if hi - lo > 4.0 * _SCAN_STEP:
@@ -341,16 +320,15 @@ def instability_region(p: SktParams, eq: Equilibrium | None = None, verify: bool
 
 
 def classify_modes(
-    spectrum,
+    eigenvalues: np.ndarray,
     report: InstabilityReport,
     boundary_tol: float = 1e-9,
 ) -> tuple[int, ...]:
     """Indices of eigenvalues strictly inside the unstable window.
 
-    Accepts a Spectrum or a plain eigenvalue array.  Eigenvalues within
-    ``boundary_tol`` of either endpoint count as stable.
+    Eigenvalues within ``boundary_tol`` of either endpoint count as stable.
     """
-    vals = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=float)
+    vals = np.asarray(eigenvalues, dtype=float)
     if report.region is None:
         return ()
     lo, hi = report.region
@@ -358,11 +336,11 @@ def classify_modes(
     return tuple(int(i) for i in np.nonzero(inside)[0])
 
 
-def stability_report(p: SktParams, spectrum=None) -> InstabilityReport:
-    """Full analysis; when a spectrum is given the unstable modes are attached."""
+def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> InstabilityReport:
+    """Full analysis; when eigenvalues are given the unstable modes are attached."""
     report = instability_region(p)
-    if spectrum is not None:
-        report = replace(report, unstable_modes=classify_modes(spectrum, report))
+    if eigenvalues is not None:
+        report = replace(report, unstable_modes=classify_modes(eigenvalues, report))
     return report
 
 

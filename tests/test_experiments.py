@@ -100,6 +100,15 @@ def test_simulate_and_report_runs_and_metrics(tmp_path):
         assert (out / f"seed_{seed}" / "final_state.csv").exists()
 
 
+def test_simulate_and_report_rejects_repeated_seeds(tmp_path):
+    # each seed's files go to seed_<s>/, so a repeat would overwrite its twin
+    out = tmp_path / "out"
+    spec = GraphSpec(family="ring", n=12, k=2)
+    with pytest.raises(ValueError, match="distinct"):
+        simulate_and_report(spec, P, seeds=(3, 3), cfg=IntegratorConfig(t_max=1.0), out_dir=str(out))
+    assert not out.exists()
+
+
 def test_simulate_and_report_single_seed_flat_layout(tmp_path):
     out = tmp_path / "single"
     simulate_and_report(

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from crossnet import (
     Graph,
     GraphSpec,
-    algebraic_connectivity,
     build_graph,
     build_laplacian,
-    check_connectivity_bound,
     eig_symmetric,
     gen_path,
     gen_ring,
@@ -29,7 +27,7 @@ STAR_4 = [0.0, 1.0, 1.0, 4.0]  # hub plus three leaves
 
 
 def spectrum_of(g: Graph) -> np.ndarray:
-    return eig_symmetric(build_laplacian(g)).eigenvalues
+    return eig_symmetric(build_laplacian(g))
 
 
 def test_triangle_spectrum():
@@ -54,14 +52,6 @@ def test_complete_graph_spectrum():
 def test_star_spectrum():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert np.allclose(spectrum_of(g), STAR_4, atol=1e-12)
-
-
-def test_eigenvectors_orthonormal_and_consistent():
-    lap = build_laplacian(gen_ring(12, 2))
-    s = eig_symmetric(lap, want_vectors=True)
-    v = s.eigenvectors
-    assert np.allclose(v.T @ v, np.eye(12), atol=1e-12)
-    assert np.allclose(lap @ v, v @ np.diag(s.eigenvalues), atol=1e-10)
 
 
 def test_eig_rejects_nonsymmetric():
@@ -114,9 +104,9 @@ def test_ring_spectrum_bounded_by_degree(n):
 
 def test_algebraic_connectivity_positive_iff_connected():
     connected = spectrum_of(gen_path(8))
-    assert algebraic_connectivity(connected) > 1e-12
+    assert connected[1] > 1e-12
     disconnected = spectrum_of(Graph(4, [(0, 1), (2, 3)]))
-    assert abs(algebraic_connectivity(disconnected)) < 1e-12
+    assert abs(disconnected[1]) < 1e-12
 
 
 def test_connectivity_edge_bound_holds():
@@ -127,7 +117,8 @@ def test_connectivity_edge_bound_holds():
     ):
         g = build_graph(spec)
         s = eig_symmetric(build_laplacian(g))
-        assert check_connectivity_bound(g, s)
+        # lambda_2 <= 2*E/(n-1)
+        assert s[1] <= 2.0 * g.n_edges / (g.n_nodes - 1) + 1e-9
 
 
 # ------------------------------------------------------------- ensembles

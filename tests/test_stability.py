@@ -18,12 +18,10 @@ from crossnet import (
     NonCoexistenceError,
     SktParams,
     StabilityError,
-    characteristic_matrix,
     classify_modes,
     coexistence_equilibrium,
     det_polynomials,
     det_sign_scan,
-    dispersion_growth_rate,
     equilibrium,
     instability_region,
     jacobian_at_equilibrium,
@@ -119,18 +117,6 @@ def test_jacobian_stable_under_weak_competition():
     assert np.all(eigs.real < 0)
 
 
-def test_characteristic_matrix_at_zero_is_jacobian():
-    eq = equilibrium(P)
-    m = characteristic_matrix(eq.j_star, eq.d_star, 0.0)
-    assert np.array_equal(m, eq.j_star)
-
-
-def test_characteristic_matrix_rejects_negative_mode():
-    eq = equilibrium(P)
-    with pytest.raises(ValueError):
-        characteristic_matrix(eq.j_star, eq.d_star, -1.0)
-
-
 # -------------------------------------------------------- window constants
 
 
@@ -159,14 +145,14 @@ def test_det_negative_strictly_inside_window_only():
     rep = det_polynomials(P)
     lo, hi = rep.region
     for lam, expect_sign in [(lo - 0.5, 1), (lo + 0.5, -1), (0.5 * (lo + hi), -1), (hi - 0.5, -1), (hi + 0.5, 1)]:
-        det = np.linalg.det(characteristic_matrix(eq.j_star, eq.d_star, lam))
+        det = np.linalg.det(eq.j_star - lam * eq.d_star)
         assert np.sign(det) == expect_sign, lam
 
 
 def test_trace_stays_negative_across_modes():
     eq = equilibrium(P)
     for lam in np.linspace(0, 40, 81):
-        m = characteristic_matrix(eq.j_star, eq.d_star, lam)
+        m = eq.j_star - lam * eq.d_star
         assert np.trace(m) < 0
     # weak competition gives tr J < 0 and every transport term gives tr D >= 0
     # (module docstring), so det(M) alone decides growth, with self-diffusion too
@@ -181,7 +167,7 @@ def test_trace_stays_negative_across_modes():
         assert eq.trace_j < 0
         assert np.trace(eq.d_star) >= 0
         for lam in np.linspace(0.0, 1000.0, 101):
-            assert np.trace(characteristic_matrix(eq.j_star, eq.d_star, lam)) < 0
+            assert np.trace(eq.j_star - lam * eq.d_star) < 0
 
 
 def test_sign_scan_brackets_the_endpoints():
@@ -269,7 +255,7 @@ def test_both_expansions_match_direct_determinant():
         for q in (p, with_self):
             eq = equilibrium(q)
             rep = det_polynomials(q, eq)
-            direct = float(np.linalg.det(characteristic_matrix(eq.j_star, eq.d_star, lam)))
+            direct = float(np.linalg.det(eq.j_star - lam * eq.d_star))
             coeff_a, coeff_b, coeff_c = rep.det_coeffs_in_d(lam)
             in_d = coeff_a * q.d**2 + coeff_b * q.d + coeff_c
             in_lam = rep.det_in_lambda(lam)
@@ -290,8 +276,8 @@ def test_alpha_beta_reconstruction_identity():
         lam = 1.0
         d12_only = dataclasses.replace(base, d12=1.0)
         d21_only = dataclasses.replace(base, d21=1.0)
-        det12 = np.linalg.det(characteristic_matrix(eqb.j_star, equilibrium(d12_only).d_star, lam))
-        det21 = np.linalg.det(characteristic_matrix(eqb.j_star, equilibrium(d21_only).d_star, lam))
+        det12 = np.linalg.det(eqb.j_star - lam * equilibrium(d12_only).d_star)
+        det21 = np.linalg.det(eqb.j_star - lam * equilibrium(d21_only).d_star)
         assert det12 - eqb.det_j == pytest.approx(-rep.alpha, rel=1e-9, abs=1e-12)
         assert det21 - eqb.det_j == pytest.approx(-rep.beta, rel=1e-9, abs=1e-12)
 
@@ -325,7 +311,7 @@ def test_growth_rate_positive_exactly_on_unstable_modes():
     rep = det_polynomials(P)
     lo, hi = rep.region
     for lam in np.linspace(0.0, 30.0, 301):
-        rate = dispersion_growth_rate(eq.j_star, eq.d_star, lam)
+        rate = np.linalg.eigvals(eq.j_star - lam * eq.d_star).real.max()
         if lo + 1e-9 < lam < hi - 1e-9:
             assert rate > 0.0, lam
         else:
