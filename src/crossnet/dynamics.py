@@ -20,6 +20,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import IntegrationError
+from .graphs import laplacian_operator
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
@@ -52,15 +53,20 @@ class IntegratorConfig:
     sample_dt: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # every test is written so that NaN fails it; t_max alone may be infinite
+        for name in ("rel_tol", "abs_tol", "steady_state_tol", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ValueError("t_max must be positive")
-        if self.steady_state_tol < 0:
+        if not self.steady_state_tol >= 0:
             raise ValueError("steady_state_tol must be non-negative")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
-        if self.sample_dt is not None and self.sample_dt <= 0:
+        if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
 
 
@@ -121,9 +127,10 @@ def rhs(y: np.ndarray, p: SktParams, lap: np.ndarray) -> np.ndarray:
     applied to both fluxes of a state in one product, ``lap @ flux.T``; a
     stack makes that one call with one (n, n) by (n, 2) product per state,
     so a state's derivative does not depend on the others in the stack, and
-    no symmetry of ``lap`` is assumed.  ``reaction_terms`` and a term-by-term
-    sum of the flux group the arithmetic differently, so they agree with
-    this to rounding, not bit for bit.
+    no symmetry of ``lap`` is assumed; any operator with ``.shape`` and
+    ``@`` on (..., n, 2) stacks will do, e.g. a ``graphs.BlockLaplacian``.
+    ``reaction_terms`` and a term-by-term sum of the flux group the
+    arithmetic differently, so they agree with this to rounding.
     """
     n = lap.shape[0]
     if y.shape[-2:] != (2, n) or lap.shape != (n, n):
@@ -410,8 +417,10 @@ def integrate_batch(field, inits: Sequence[NetworkState], cfg: IntegratorConfig 
 
 
 def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[NetworkState], cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
-    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch."""
-    return integrate_batch(lambda y: rhs(y, p, lap), inits, cfg)
+    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch,
+    applying ``lap`` in the form ``graphs.laplacian_operator`` picks."""
+    op = laplacian_operator(lap)
+    return integrate_batch(lambda y: rhs(y, p, op), inits, cfg)
 
 
 def perturb_homogeneous(

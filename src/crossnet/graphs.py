@@ -2,8 +2,9 @@
 
 Deterministic families (rings, paths, planar lattices) and seeded random
 families (regular-random, small-world, binomial, preferential attachment),
-a combinatorial Laplacian builder, connectivity checks, and a plain-text
-edge-list writer.
+a combinatorial Laplacian builder, a block-sparse form of it for the
+simulated right-hand side, connectivity checks, and a plain-text edge-list
+writer.
 
 Conventions
 -----------
@@ -19,6 +20,7 @@ each arriving node.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -372,6 +374,56 @@ def build_laplacian(g: Graph) -> np.ndarray:
     lap[j, i] = -1.0
     lap.flat[:: g.n_nodes + 1] = degrees(g)
     return lap
+
+
+def _nonzero_blocks(lap: np.ndarray) -> tuple[int, np.ndarray]:
+    """Block size b = ceil(sqrt(n)) and the mask of the b x b blocks of ``lap`` holding a nonzero."""
+    b = math.isqrt(lap.shape[0] - 1) + 1
+    starts = np.arange(0, lap.shape[0], b)
+    return b, np.logical_or.reduceat(np.logical_or.reduceat(lap != 0, starts, axis=0), starts, axis=1)
+
+
+class BlockLaplacian:
+    """An (n, n) matrix stored as its nonzero b x b blocks, b = ceil(sqrt(n)).
+
+    ``data[r]`` holds block row r (zero-padded past row n) as m blocks side
+    by side: its nonzero blocks, then zero blocks up to m, the largest count
+    of any block row.  ``index`` names the node of each of those columns,
+    block row after block row (padding past n points at node n - 1).
+    ``op @ x`` on x of shape (..., n, k) is one ``np.take`` and one stacked
+    matmul with one (b, m*b) by (m*b, k) product per block row and state, so
+    a state's product does not depend on the others in a stack.
+    """
+
+    def __init__(self, lap: np.ndarray):
+        n = lap.shape[0]
+        b, mask = _nonzero_blocks(lap)
+        nb, m = len(mask), int(mask.sum(axis=1).max())
+        # a stable sort puts each block row's nonzero blocks first, in order
+        cols = np.argsort(~mask, axis=1, kind="stable")[:, :m]
+        col = (cols[:, :, None] * b + np.arange(b)).reshape(nb, 1, m * b)
+        row = np.arange(nb * b).reshape(nb, b, 1)
+        self.data = np.where((row < n) & (col < n), lap[np.minimum(row, n - 1), np.minimum(col, n - 1)], 0.0)
+        self.index = np.minimum(col, n - 1).ravel()
+        self.shape = lap.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[-2] != self.shape[1]:
+            raise ValueError(f"shape mismatch: operator {self.shape}, operand {x.shape}")
+        nb, b, width = self.data.shape
+        stack, k = x.shape[:-2], x.shape[-1]
+        gathered = np.take(x, self.index, axis=-2).reshape(stack + (nb, width, k))
+        return (self.data @ gathered).reshape(stack + (nb * b, k))[..., : self.shape[0], :]
+
+
+def laplacian_operator(lap: np.ndarray) -> np.ndarray | BlockLaplacian:
+    """``lap`` as a ``BlockLaplacian`` if its blocks store at most a quarter
+    of the n^2 entries (rings and lattices from a few hundred nodes on),
+    else ``lap`` itself: the form the simulated right-hand side applies."""
+    b, mask = _nonzero_blocks(lap)
+    if 4 * len(mask) * int(mask.sum(axis=1).max()) * b * b > lap.shape[0] ** 2:
+        return lap
+    return BlockLaplacian(lap)
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -212,6 +212,22 @@ def test_repeated_seeds_are_a_config_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("assignment", [
+    "integrator.rel_tol=NaN", "integrator.abs_tol=NaN", "integrator.t_max=NaN",
+    "integrator.steady_state_tol=NaN", "integrator.sample_dt=NaN",
+    "integrator.rel_tol=Infinity", "integrator.abs_tol=Infinity",
+    "integrator.steady_state_tol=Infinity", "integrator.sample_dt=Infinity",
+])
+def test_nan_or_infinite_integrator_setting_is_a_config_error(capsys, tmp_path, assignment):
+    # max_steps=50 keeps the run short where the setting is wrongly accepted
+    out_dir = tmp_path / "nan"
+    code, out = run_cli(capsys, "simulate", "--output-dir", str(out_dir),
+                        "--set", assignment, "--set", "integrator.max_steps=50")
+    assert code == 2, out
+    assert json.loads(out)["error"] == "config"
+    assert not out_dir.exists()
+
+
 def test_seed_files_do_not_depend_on_the_other_seeds_of_the_command(capsys, tmp_path):
     # the seeds of one command are integrated as one batch
     args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20"]

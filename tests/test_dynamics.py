@@ -516,6 +516,20 @@ def test_config_validation():
         IntegratorConfig(sample_dt=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("rel_tol", math.nan), ("abs_tol", math.nan), ("t_max", math.nan), ("steady_state_tol", math.nan),
+    ("max_steps", math.nan), ("sample_dt", math.nan),
+    ("rel_tol", math.inf), ("abs_tol", math.inf), ("steady_state_tol", math.inf), ("sample_dt", math.inf),
+])
+def test_config_rejects_nan_and_infinite_settings(name, value):
+    with pytest.raises(ValueError, match=name):
+        IntegratorConfig(**{name: value})
+
+
+def test_config_accepts_infinite_t_max():
+    assert IntegratorConfig(t_max=math.inf).t_max == math.inf
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         NetworkState(np.zeros(3), np.zeros(4))

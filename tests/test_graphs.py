@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnet import (
+    BlockLaplacian,
     GenerationError,
     Graph,
     GraphSpec,
@@ -20,6 +21,7 @@ from crossnet import (
     gen_ring,
     gen_random,
     is_connected,
+    laplacian_operator,
     write_edge_list,
 )
 from conftest import laplacian_from_edges
@@ -402,6 +404,88 @@ def test_is_connected_matches_networkx_on_disconnected_graphs():
         outcomes.add(is_connected(g))
         assert is_connected(g) == nx.is_connected(_to_networkx(nx, g)), g
     assert outcomes == {True, False}
+
+
+# ------------------------------------------------------ block Laplacian operator
+
+
+def _specs_with_n_nodes(n):
+    """A spec of every non-lattice family that can have ``n`` nodes."""
+    specs = [GraphSpec(family="erdos-renyi", n=n, p=min(1.0, 8.0 / n), seed=n)]
+    if n >= 2:
+        specs.append(GraphSpec(family="path", n=n))
+        specs.append(GraphSpec(family="barabasi-albert", n=n, k=min(2, n - 1), seed=n))
+        specs.append(GraphSpec(family="regular-random", n=n, k=min(4, n - 1), seed=n))
+    if n >= 3:
+        k = min(3, (n - 1) // 2)
+        specs.append(GraphSpec(family="ring", n=n, k=k))
+        specs.append(GraphSpec(family="watts-strogatz", n=n, k=k, p=0.1, seed=n))
+    return specs
+
+
+def _assert_same_product(op, lap, rng):
+    # on one (n, 2) operand and on a stack of five; the tolerance is relative
+    # to the largest sum of absolute products, the scale of the rounding error
+    n = lap.shape[0]
+    for shape in ((n, 2), (5, n, 2)):
+        x = rng.uniform(-2.0, 2.0, shape)
+        scale = (np.abs(lap) @ np.abs(x)).max()
+        np.testing.assert_allclose(op @ x, lap @ x, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 97, 400, 1000])
+def test_block_laplacian_matches_the_dense_product(n):
+    rng = np.random.default_rng(n)
+    specs = _specs_with_n_nodes(n)
+    assert len(specs) == (1 if n == 1 else 4 if n == 2 else 6)
+    for spec in specs:
+        lap = build_laplacian(build_graph(spec))
+        _assert_same_product(BlockLaplacian(lap), lap, rng)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (9, 11), (20, 20), (25, 40)])
+def test_block_laplacian_matches_the_dense_product_on_lattices(kind, rows, cols):
+    lap = build_laplacian(gen_lattice(kind, rows, cols))
+    _assert_same_product(BlockLaplacian(lap), lap, np.random.default_rng(rows * cols))
+
+
+def test_block_laplacian_matches_a_random_asymmetric_block_sparse_matrix():
+    # n = 97 gives 10 x 10 blocks with a short last block row and column;
+    # block rows keep 0 to 3 random nonzero blocks, so rows are padded
+    rng = np.random.default_rng(3)
+    n, b = 97, 10
+    mat = np.zeros((n, n))
+    counts = [0, 1, 2, 3, 3, 1, 2, 0, 3, 2]
+    for r, count in enumerate(counts):
+        for c in rng.choice(10, size=count, replace=False):
+            block = mat[r * b:(r + 1) * b, c * b:(c + 1) * b]
+            block[...] = rng.normal(size=block.shape) * (rng.random(block.shape) < 0.5)
+    assert not np.allclose(mat, mat.T)
+    op = BlockLaplacian(mat)
+    assert op.data.shape == (10, 10, 3 * b)
+    _assert_same_product(op, mat, rng)
+
+
+@pytest.mark.parametrize("n, k", [(97, 3), (400, 20)])
+def test_block_products_of_a_stack_equal_the_solo_products(n, k):
+    # rhs passes the fluxes as a transposed (B, n, 2) view of (B, 2, n)
+    op = BlockLaplacian(build_laplacian(gen_ring(n, k)))
+    flux = np.random.default_rng(n).uniform(0.1, 2.0, (6, 2, n))
+    stacked = op @ flux.swapaxes(-1, -2)
+    for state, product in zip(flux, stacked):
+        assert np.array_equal(product, op @ state.T)
+        assert np.array_equal(product, (op @ state[None].swapaxes(-1, -2))[0])
+
+
+def test_laplacian_operator_keeps_the_dense_matrix_unless_blocks_pay():
+    ring100 = build_laplacian(gen_ring(100, 10))
+    er = build_laplacian(build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1)))
+    assert laplacian_operator(ring100) is ring100
+    assert laplacian_operator(er) is er
+    op = laplacian_operator(build_laplacian(gen_ring(400, 20)))
+    assert isinstance(op, BlockLaplacian)
+    assert op.data.shape == (20, 20, 60)  # three 20 x 20 blocks per block row
 
 
 # ------------------------------------------------------------------- edge I/O
