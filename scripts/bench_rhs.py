@@ -47,7 +47,7 @@ def time_rhs(lap, batch: int) -> float:
     n = lap.shape[0]
     eq = equilibrium(DEFAULT_SKT_PARAMS)
     states = [perturb_homogeneous(eq, n, 1e-2, seed=s) for s in range(batch)]
-    y = np.stack([np.stack((s.u, s.v)) for s in states])
+    y = np.stack(states)
     timer = timeit.Timer(lambda: rhs(y, DEFAULT_SKT_PARAMS, lap))
     number, _ = timer.autorange()  # calls per batch so that a batch takes >= 0.2 s
     batches = timer.repeat(repeat=REPEATS, number=number)

@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .spectra import eig_symmetric, write_spectrum_csv
 from .stability import report_to_dict, stability_report
+from .textio import write_json
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -78,17 +79,13 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     return load_config(args.config, overrides)
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
 
 
 def cmd_graph_gen(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
     edge_path = os.path.join(out, "graph.txt")
     write_edge_list(g, edge_path)
@@ -104,7 +101,7 @@ def cmd_graph_gen(cfg: RunConfig, doc: dict) -> int:
 
 def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
     eigenvalues = eig_symmetric(build_laplacian(g))
     write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
@@ -129,14 +126,12 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
 
 def cmd_stability(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
     eigenvalues = eig_symmetric(build_laplacian(g))
     report = stability_report(cfg.skt, eigenvalues)
     payload = report_to_dict(report)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "report.json"), payload)
     write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
     experiments.write_manifest(
         os.path.join(out, "manifest.json"),
@@ -175,7 +170,7 @@ def cmd_simulate(cfg: RunConfig, doc: dict) -> int:
                 "converged": r.result.converged,
                 "reason": r.result.reason,
                 "final_residual": r.result.final_residual,
-                "t_final": r.result.final.t,
+                "t_final": r.result.t_final,
                 "heterogeneity": r.metrics.heterogeneity,
                 "pct_change_u": r.metrics.pct_change_u,
                 "pct_change_v": r.metrics.pct_change_v,
@@ -208,7 +203,7 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
     )
     threads = exp.threads if exp.threads is not None else os.cpu_count()
     rows = experiments.ensemble_report(sweep, threads=threads)
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     experiments.write_ensemble_report(sweep, rows, out)
     experiments.write_manifest(
         os.path.join(out, "manifest.json"),

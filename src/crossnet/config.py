@@ -3,48 +3,19 @@
 A run is described by one JSON document with a block per concern (graph,
 model, integrator, experiment) plus an output directory and a master seed.
 Unknown keys are rejected rather than ignored.  Override precedence, lowest
-to highest: built-in defaults, config file, ``--set``/flag overrides, the
-``CROSSNET_SEED`` environment variable (master seed only).
+to highest: built-in defaults, config file, ``--set``/flag overrides.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 
 from .dynamics import IntegratorConfig
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_real
 from .graphs import GraphSpec
 from .stability import DEFAULT_SKT_PARAMS, SktParams
-
-SEED_ENV_VAR = "CROSSNET_SEED"
-
-_DEFAULTS: dict = {
-    "graph": {
-        "family": "ring",
-        "n": 100,
-        "k": 10,
-        "p": None,
-        "rows": None,
-        "cols": None,
-        "seed": None,
-        "require_connected": False,
-    },
-    "skt": dataclasses.asdict(DEFAULT_SKT_PARAMS),
-    "integrator": dataclasses.asdict(IntegratorConfig()),
-    "experiment": {
-        "perturbation": 0.01,
-        "seeds": [0],
-        "realizations": 1000,
-        "sweep_param": None,
-        "sweep_values": None,
-        "threads": None,
-    },
-    "output_dir": "runs/out",
-    "master_seed": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -57,6 +28,12 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        require_real("perturbation", self.perturbation)
+        require_int("realizations", self.realizations)
+        for i, seed in enumerate(self.seeds):
+            require_int(f"seeds[{i}]", seed)
+        if self.threads is not None:
+            require_int("threads", self.threads)
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be >= 0 and < 1, got {self.perturbation}")
         if self.realizations < 1:
@@ -76,6 +53,27 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
+_DEFAULTS: dict = {
+    "graph": {
+        "family": "ring",
+        "n": 100,
+        "k": 10,
+        "p": None,
+        "rows": None,
+        "cols": None,
+        "seed": None,
+        "require_connected": False,
+    },
+    "skt": dataclasses.asdict(DEFAULT_SKT_PARAMS),
+    "integrator": dataclasses.asdict(IntegratorConfig()),
+    # as JSON reads it: tuples become lists
+    "experiment": {key: list(value) if isinstance(value, tuple) else value
+                   for key, value in dataclasses.asdict(ExperimentConfig()).items()},
+    "output_dir": "runs/out",
+    "master_seed": 0,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     graph: GraphSpec
@@ -86,12 +84,10 @@ class RunConfig:
     master_seed: int
 
 
-def _merge_block(base: dict, incoming: dict, block: str) -> None:
-    known = set(base.keys())
-    for key, value in incoming.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {block}.{key!r}; known keys: {sorted(known)}")
-        base[key] = value
+def _set_key(doc: dict, block: str, key: str, value) -> None:
+    if key not in doc[block]:
+        raise ConfigError(f"unknown key {block}.{key!r}; known keys: {sorted(doc[block])}")
+    doc[block][key] = value
 
 
 def _parse_set_value(raw: str):
@@ -117,9 +113,7 @@ def apply_override(doc: dict, assignment: str) -> None:
         block, key = parts
         if block not in ("graph", "skt", "integrator", "experiment"):
             raise ConfigError(f"unknown config block {block!r}")
-        if key not in doc[block]:
-            raise ConfigError(f"unknown key {block}.{key!r}; known keys: {sorted(doc[block])}")
-        doc[block][key] = value
+        _set_key(doc, block, key, value)
     else:
         raise ConfigError(f"override target must have at most one dot, got {target!r}")
 
@@ -150,19 +144,14 @@ def load_config_doc(path: str | None = None, overrides: list[str] | None = None)
         if key in ("graph", "skt", "integrator", "experiment"):
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}: block {key!r} must be a JSON object")
-            _merge_block(doc[key], value, key)
+            for name, item in value.items():
+                _set_key(doc, key, name, item)
         elif key in ("output_dir", "master_seed"):
             doc[key] = value
         else:
             raise ConfigError(f"{path}: unknown top-level key {key!r}")
     for assignment in overrides or []:
         apply_override(doc, assignment)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            doc["master_seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     if doc["graph"].get("seed") is None:
         doc["graph"]["seed"] = doc["master_seed"]
     # a swept graph key needs no base value of its own: an unset one starts
@@ -176,6 +165,8 @@ def load_config_doc(path: str | None = None, overrides: list[str] | None = None)
 def build_run_config(doc: dict) -> RunConfig:
     """Typed RunConfig from a resolved dict; validation errors become ConfigError."""
     try:
+        # before the graph block, which inherits master_seed as its seed
+        require_int("master_seed", doc["master_seed"])
         graph = GraphSpec(**doc["graph"])
         skt = SktParams(**doc["skt"])
         integrator = IntegratorConfig(**doc["integrator"])
@@ -184,8 +175,6 @@ def build_run_config(doc: dict) -> RunConfig:
         if exp["sweep_values"] is not None:
             exp["sweep_values"] = tuple(exp["sweep_values"])
         experiment = ExperimentConfig(**exp)
-        if not isinstance(doc["master_seed"], int):
-            raise ValueError(f"master_seed must be an integer, got {doc['master_seed']!r}")
         if not isinstance(doc["output_dir"], str):
             raise ValueError(f"output_dir must be a string, got {doc['output_dir']!r}")
     except (TypeError, ValueError) as exc:

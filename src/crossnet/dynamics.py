@@ -14,12 +14,12 @@ and flags anything deeper instead of hiding it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, require_int, require_real
 from .graphs import laplacian_operator
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
@@ -27,7 +27,6 @@ from .textio import fmt_float
 
 __all__ = [
     "IntegratorConfig",
-    "NetworkState",
     "SimulationResult",
     "reaction_terms",
     "rhs",
@@ -53,6 +52,11 @@ class IntegratorConfig:
     sample_dt: float | None = None
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "t_max", "steady_state_tol"):
+            require_real(name, getattr(self, name))
+        if self.sample_dt is not None:
+            require_real("sample_dt", self.sample_dt)
+        require_int("max_steps", self.max_steps)
         # every test is written so that NaN fails it; t_max alone may be infinite
         for name in ("rel_tol", "abs_tol", "steady_state_tol", "sample_dt"):
             value = getattr(self, name)
@@ -71,37 +75,29 @@ class IntegratorConfig:
 
 
 @dataclass
-class NetworkState:
-    """Per-node densities of both species at one instant."""
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise ValueError(f"u and v must be 1-d arrays of equal length, got {self.u.shape} and {self.v.shape}")
-
-
-@dataclass
 class SimulationResult:
-    final: NetworkState
-    converged: bool
-    t_converged: float | None
+    """How one state's run ended; states are (2, n) arrays with u and v as rows."""
+
+    final: np.ndarray  # (2, n) state at t_final
+    t_final: float
     times: np.ndarray
-    u_traj: np.ndarray
-    v_traj: np.ndarray
+    traj: np.ndarray  # (len(times), 2, n) sampled states
     positivity_violated: bool
     steps_accepted: int
     steps_rejected: int
     rhs_evaluations: int
-    reason: str
+    reason: str  # "steady_state", "t_max" or "max_steps"
     final_residual: float  # max |F| over both species at the final state
     positivity_clamps: int  # accepted steps on which a shallow undershoot was set to 0
     min_state: float  # smallest u or v at the start and over accepted steps, before clamping
-    config: IntegratorConfig = field(default_factory=IntegratorConfig)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "steady_state"
+
+    @property
+    def t_converged(self) -> float | None:
+        return self.t_final if self.converged else None
 
 
 def reaction_terms(u: np.ndarray, v: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +193,9 @@ class _SampleBuffer:
 class _Member:
     """Step size, controller state, samples and counters of one state of a batch."""
 
-    def __init__(self, init: NetworkState, y0: np.ndarray, cfg: IntegratorConfig):
-        self.cfg = cfg
-        self.t = float(init.t)
-        self.t_end = self.t + cfg.t_max
+    def __init__(self, y0: np.ndarray, cfg: IntegratorConfig):
+        self.t = 0.0
+        self.t_end = cfg.t_max
         self.h = 0.0
         self.err_prev = 1e-4
         self.buffer = _SampleBuffer(cfg.sample_dt, self.t, y0)
@@ -221,16 +216,11 @@ class _Member:
     def finish(self, y: np.ndarray, reason: str) -> None:
         if self.buffer.times[-1] != self.t:
             self.buffer.record(self.t, y, force=True)
-        n = y.size // 2
-        states = np.stack(self.buffer.states)
-        converged = reason == "steady_state"
         self.result = SimulationResult(
-            final=NetworkState(u=y[:n].copy(), v=y[n:].copy(), t=self.t),
-            converged=converged,
-            t_converged=self.t if converged else None,
+            final=y.reshape(2, -1).copy(),
+            t_final=self.t,
             times=np.asarray(self.buffer.times),
-            u_traj=states[:, :n],
-            v_traj=states[:, n:],
+            traj=np.stack(self.buffer.states).reshape(len(self.buffer.times), 2, -1),
             positivity_violated=self.positivity_violated,
             steps_accepted=self.accepted,
             steps_rejected=self.rejected,
@@ -239,7 +229,6 @@ class _Member:
             final_residual=self.residual,
             positivity_clamps=self.clamps,
             min_state=self.min_state,
-            config=self.cfg,
         )
 
 
@@ -267,11 +256,13 @@ def _rms(x: np.ndarray, scale: np.ndarray) -> list[float]:
     return np.sqrt(np.add.reduce(q, axis=1) / q.shape[1]).tolist()
 
 
-def integrate_batch(field, inits: Sequence[NetworkState], cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
     """Advance ``dY/dt = field(Y)`` from each state of ``inits`` until it stops.
 
-    ``field`` maps a (b, 2, n) stack of states, u and v as the rows of each,
-    to their time derivatives, and must treat the states of the stack
+    ``inits`` is a sequence of (2, n) states, u and v as the rows of each,
+    or a (B, 2, n) stack of them; anything else raises ValueError.  Every
+    state starts at t = 0.  ``field`` maps a (b, 2, n) stack of states to
+    their time derivatives, and must treat the states of the stack
     independently.  Every state is integrated as if it were alone: it keeps
     its own step size, PI controller, accept/reject decisions, FSAL stage,
     clamps, stop test, samples and counters, and it leaves the batch when it
@@ -286,8 +277,11 @@ def integrate_batch(field, inits: Sequence[NetworkState], cfg: IntegratorConfig 
     that of the first failing state in ``inits`` order, as soon as every
     state before it has stopped: the error a one-by-one run would raise.
     """
-    y = np.stack([np.concatenate((s.u, s.v)) for s in inits]).astype(float)
-    members = [_Member(init, row, cfg) for init, row in zip(inits, y)]
+    y = np.array(inits, dtype=float)
+    if y.ndim != 3 or y.shape[1] != 2 or y.shape[0] * y.shape[2] == 0:
+        raise ValueError(f"initial states must be (2, n) arrays with n >= 1, got an array of shape {y.shape}")
+    y = y.reshape(len(y), -1)  # each row is concat(u, v)
+    members = [_Member(row, cfg) for row in y]
     for m, row in zip(members, y):
         if not np.isfinite(row).all():
             m.error = IntegrationError("initial state contains non-finite values", m.t)
@@ -416,7 +410,7 @@ def integrate_batch(field, inits: Sequence[NetworkState], cfg: IntegratorConfig 
     return [m.result for m in members]
 
 
-def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[NetworkState], cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
     """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch,
     applying ``lap`` in the form ``graphs.laplacian_operator`` picks."""
     op = laplacian_operator(lap)
@@ -428,8 +422,8 @@ def perturb_homogeneous(
     n_nodes: int,
     magnitude: float = 1e-2,
     seed: int = 0,
-) -> NetworkState:
-    """Homogeneous coexistence state with i.i.d. relative noise.
+) -> np.ndarray:
+    """Homogeneous coexistence state with i.i.d. relative noise, as a (2, n) array.
 
     ``u_i = u* (1 + e_i)`` with ``e_i`` uniform on [-magnitude, magnitude],
     independently for both species.  The noise is relative, so a magnitude
@@ -445,7 +439,7 @@ def perturb_homogeneous(
     rng = rng_from(seed)
     u = u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     v = v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
-    return NetworkState(u=u, v=v, t=0.0)
+    return np.stack((u, v))
 
 
 @dataclass(frozen=True)
@@ -457,18 +451,19 @@ class PatternMetrics:
     pct_change_v: float
 
 
-def pattern_metrics(final: NetworkState, eq: Equilibrium | tuple[float, float]) -> PatternMetrics:
-    """Deviation-from-homogeneity summary of a final state.
+def pattern_metrics(final: np.ndarray, eq: Equilibrium | tuple[float, float]) -> PatternMetrics:
+    """Deviation-from-homogeneity summary of a (2, n) final state.
 
     ``heterogeneity`` is ``max_i|u_i - mean(u)| + max_i|v_i - mean(v)|``;
     the percent changes compare the total abundances against the uniform
     coexistence totals ``n*u*`` and ``n*v*``.
     """
     u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
-    n = final.u.size
-    het = float(np.abs(final.u - final.u.mean()).max() + np.abs(final.v - final.v.mean()).max())
-    total_u = float(final.u.sum())
-    total_v = float(final.v.sum())
+    u, v = final
+    n = u.size
+    het = float(np.abs(u - u.mean()).max() + np.abs(v - v.mean()).max())
+    total_u = float(u.sum())
+    total_v = float(v.sum())
     return PatternMetrics(
         heterogeneity=het,
         total_u=total_u,
@@ -479,19 +474,17 @@ def pattern_metrics(final: NetworkState, eq: Equilibrium | tuple[float, float]) 
 
 
 def write_trajectory_csv(result: SimulationResult, path) -> None:
-    n = result.u_traj.shape[1]
+    n = result.traj.shape[2]
     header = "t," + ",".join(f"u_{i}" for i in range(n)) + "," + ",".join(f"v_{i}" for i in range(n))
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"  # fmt_float's format, a row at a time
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row, t in enumerate(result.times):
-            cells = [fmt_float(t)]
-            cells.extend(fmt_float(x) for x in result.u_traj[row])
-            cells.extend(fmt_float(x) for x in result.v_traj[row])
-            fh.write(",".join(cells) + "\n")
+        for t, state in zip(result.times.tolist(), result.traj):
+            fh.write(row % (t, *state.ravel().tolist()))
 
 
-def write_final_state_csv(state: NetworkState, path) -> None:
+def write_final_state_csv(state: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("node,u,v\n")
-        for i in range(state.u.size):
-            fh.write(f"{i},{fmt_float(state.u[i])},{fmt_float(state.v[i])}\n")
+        for i, (u, v) in enumerate(zip(*state.tolist())):
+            fh.write(f"{i},{fmt_float(u)},{fmt_float(v)}\n")

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the type checks of
+the parameter validators.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 numerical failures exit 3, I/O failures exit 4.
 """
+import numbers
 
 
 class CrossnetError(Exception):
@@ -35,3 +37,15 @@ class IntegrationError(CrossnetError):
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message if time is None else f"{message} (t={time:g})")
         self.time = time
+
+
+def require_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -7,7 +7,6 @@ self-describing and byte-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, replace
 
@@ -36,7 +35,7 @@ from .stability import (
     report_to_dict,
     stability_report,
 )
-from .textio import fmt_float
+from .textio import fmt_float, write_json
 
 __all__ = [
     "SweepSpec",
@@ -258,9 +257,7 @@ def _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, eigenv
     write_edge_list(g, os.path.join(out_dir, "graph.txt"))
     payload = report_to_dict(report)
     payload["runs"] = [_run_summary(r) for r in runs]
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), payload)
     write_manifest(
         os.path.join(out_dir, "manifest.json"),
         graph=graph_spec,
@@ -298,9 +295,7 @@ def write_manifest(path, graph: GraphSpec | None = None, skt: SktParams | None =
         doc["master_seed"] = master_seed
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def write_ring_sweep(rows: list[RingSweepRow], out_dir: str) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, require_int, require_real
 from .rng import check_seed, derive_seed, rng_from
 
 DETERMINISTIC_FAMILIES = (
@@ -135,6 +135,11 @@ class GraphSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; choose from {FAMILIES}")
         check_seed(self.seed)
+        for name in ("n", "k", "rows", "cols"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name))
+        if self.p is not None:
+            require_real("p", self.p)
         lattice = self.family.endswith("-lattice")
         if lattice:
             if self.rows is None or self.cols is None:

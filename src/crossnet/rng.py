@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_int
+
 _MAX_SEED = 2**64
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+    require_int("seed", seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return int(seed)

@@ -25,7 +25,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NonCoexistenceError, StabilityError
+from .errors import NonCoexistenceError, StabilityError, require_real
 
 __all__ = [
     "SktParams",
@@ -74,6 +74,7 @@ class SktParams:
     def __post_init__(self):
         for name in ("r1", "r2", "a1", "a2", "b1", "b2", "d", "d11", "d22", "d12", "d21"):
             val = getattr(self, name)
+            require_real(name, val)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"parameter {name} must be finite and >= 0, got {val}")
 

@@ -19,7 +19,6 @@ from crossnet import (
     DEFAULT_SKT_PARAMS,
     GraphSpec,
     IntegratorConfig,
-    NetworkState,
     PdeParams,
     SktParams,
     SweepSpec,
@@ -266,7 +265,7 @@ def test_criterion_09_positivity_randomized_runs():
             d=float(rng.uniform(0, 0.1)), d12=float(rng.uniform(0, 4)), d21=float(rng.uniform(0, 4)),
             d11=float(rng.uniform(0, 0.5)), d22=float(rng.uniform(0, 0.5)),
         )
-        init = NetworkState(rng.uniform(0.0, 3.0, g.n_nodes), rng.uniform(0.0, 3.0, g.n_nodes))
+        init = np.array((rng.uniform(0.0, 3.0, g.n_nodes), rng.uniform(0.0, 3.0, g.n_nodes)))
         res = simulate_skt(p, build_laplacian(g), [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-7))[0]
         if res.positivity_violated:
             failures.append(trial)
@@ -291,8 +290,8 @@ def test_criterion_10_linear_growth_rate_fit():
     cfg = IntegratorConfig(t_max=120.0, steady_state_tol=1e-30, sample_dt=1.0)
     res = simulate_skt(p, lap, [init], cfg)[0]
     times = res.times
-    c = (res.u_traj - eq.u_star) @ vecs
-    b = (res.v_traj - eq.v_star) @ vecs
+    c = (res.traj[:, 0] - eq.u_star) @ vecs
+    b = (res.traj[:, 1] - eq.v_star) @ vecs
     # ring modes come in degenerate pairs; track the total amplitude on the pair
     pair = np.abs(vals - vals[imax]) < 1e-9
     amp = np.sqrt((c[:, pair] ** 2 + b[:, pair] ** 2).sum(axis=1))

@@ -228,6 +228,31 @@ def test_nan_or_infinite_integrator_setting_is_a_config_error(capsys, tmp_path, 
     assert not out_dir.exists()
 
 
+_ER = ("--set", "graph.family=erdos-renyi", "--set", "graph.n=20", "--set", "graph.p=0.2")
+
+
+@pytest.mark.parametrize("command, key, args", [
+    ("spectrum", "n", ("--set", "graph.n=100.0")),
+    ("spectrum", "rows", ("--set", "graph.family=square-lattice", "--set", "graph.rows=3.0", "--set", "graph.cols=4")),
+    ("ensemble", "realizations", (*_ER, "--set", "experiment.realizations=2.5")),
+    ("spectrum", "k", ("--set", "graph.k=2.5")),
+    ("simulate", "seeds[0]", ("--set", "experiment.seeds=[0.5]", "--set", "integrator.max_steps=50")),
+    ("ensemble", "threads", (*_ER, "--set", "experiment.threads=1.5", "--set", "experiment.realizations=5")),
+    ("ensemble", "realizations", (*_ER, "--set", "experiment.realizations=true")),
+    ("stability", "d12", ("--set", "skt.d12=true")),
+    ("spectrum", "master_seed", ("--set", "master_seed=true")),
+    ("stability", "r1", ("--set", "skt.r1=abc")),
+])
+def test_mistyped_setting_is_a_config_error_naming_its_key(capsys, tmp_path, command, key, args):
+    # booleans are not numbers, and integer keys take no fractional values
+    out_dir = tmp_path / "typed"
+    code, out = run_cli(capsys, command, "--output-dir", str(out_dir), *args)
+    assert code == 2, out
+    assert json.loads(out)["error"] == "config"
+    assert f"{key} must be" in json.loads(out)["message"]
+    assert not out_dir.exists()
+
+
 def test_seed_files_do_not_depend_on_the_other_seeds_of_the_command(capsys, tmp_path):
     # the seeds of one command are integrated as one batch
     args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20"]
@@ -282,23 +307,6 @@ def test_simulate_summary_says_why_a_run_did_not_converge(capsys, tmp_path):
     assert run["final_residual"] > load_config()[0].integrator.steady_state_tol
     report = json.loads((out_dir / "report.json").read_text())
     assert report["runs"][0]["final_residual"] == run["final_residual"]
-
-
-def test_env_seed_changes_outputs(capsys, tmp_path, monkeypatch):
-    args = [
-        "graph", "gen", "--set", "graph.family=erdos-renyi",
-        "--set", "graph.n=15", "--set", "graph.p=0.4",
-    ]
-    monkeypatch.setenv("CROSSNET_SEED", "1")
-    a = str(tmp_path / "a")
-    assert main(args + ["--output-dir", a]) == 0
-    monkeypatch.setenv("CROSSNET_SEED", "2")
-    b = str(tmp_path / "b")
-    assert main(args + ["--output-dir", b]) == 0
-    capsys.readouterr()
-    ga = (tmp_path / "a" / "graph.txt").read_text()
-    gb = (tmp_path / "b" / "graph.txt").read_text()
-    assert ga != gb
 
 
 def test_master_seed_flag_equivalent_to_set(capsys, tmp_path):

@@ -1,10 +1,10 @@
-"""Config resolution: defaults, file merge, overrides, env seed, strictness."""
+"""Config resolution: defaults, file merge, overrides, strictness."""
 import json
 
 import pytest
 
 from crossnet import ConfigError
-from crossnet.config import SEED_ENV_VAR, apply_override, load_config, load_config_doc
+from crossnet.config import apply_override, load_config, load_config_doc
 
 
 def test_defaults_resolve():
@@ -95,18 +95,6 @@ def test_bad_overrides_rejected():
     for bad in ("graph.k", "nothere=1", "graph.degree=5", "a.b.c=1", "experiment.sweeps=2"):
         with pytest.raises(ConfigError):
             apply_override(load_config_doc(), bad)
-
-
-def test_env_seed_has_highest_precedence(monkeypatch, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"master_seed": 1}))
-    monkeypatch.setenv(SEED_ENV_VAR, "42")
-    cfg, _ = load_config(str(path), overrides=["master_seed=2"])
-    assert cfg.master_seed == 42
-    assert cfg.graph.seed == 42
-    monkeypatch.setenv(SEED_ENV_VAR, "not-an-int")
-    with pytest.raises(ConfigError, match="integer"):
-        load_config(str(path))
 
 
 def test_explicit_graph_seed_survives_master_seed(tmp_path):

@@ -15,7 +15,6 @@ from crossnet import (
     DEFAULT_SKT_PARAMS,
     IntegrationError,
     IntegratorConfig,
-    NetworkState,
     NonCoexistenceError,
     SktParams,
     build_graph,
@@ -34,6 +33,7 @@ from crossnet import (
 )
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.graphs import GraphSpec
+from crossnet.textio import fmt_float
 
 P = DEFAULT_SKT_PARAMS
 
@@ -53,13 +53,13 @@ def logistic_exact(u0: float, r: float, a: float, t: float) -> float:
 
 def test_single_node_logistic_matches_closed_form():
     p = SktParams(r1=1.3, r2=1.0, a1=0.7, a2=1.0, b1=0.0, b2=0.0)
-    init = NetworkState(np.array([0.2]), np.array([0.0]))
+    init = np.array([[0.2], [0.0]])
     lap = np.zeros((1, 1))
     cfg = IntegratorConfig(t_max=3.0, steady_state_tol=1e-30)
     res = simulate_skt(p, lap, [init], cfg)[0]
     expect = logistic_exact(0.2, 1.3, 0.7, 3.0)
-    assert res.final.u[0] == pytest.approx(expect, rel=1e-7)
-    assert res.final.v[0] == 0.0  # zero stays zero exactly
+    assert res.final[0, 0] == pytest.approx(expect, rel=1e-7)
+    assert res.final[1, 0] == 0.0  # zero stays zero exactly
 
 
 def test_pure_diffusion_matches_matrix_exponential():
@@ -71,11 +71,11 @@ def test_pure_diffusion_matches_matrix_exponential():
     v0 = rng.uniform(0.5, 2.0, 16)
     t_end = 1.5
     cfg = IntegratorConfig(t_max=t_end, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [NetworkState(u0, v0)], cfg)[0]
+    res = simulate_skt(p, lap, [np.array((u0, v0))], cfg)[0]
     vals, vecs = np.linalg.eigh(lap)
     decay = vecs @ np.diag(np.exp(-p.d * vals * t_end)) @ vecs.T
-    assert np.allclose(res.final.u, decay @ u0, atol=1e-7)
-    assert np.allclose(res.final.v, decay @ v0, atol=1e-7)
+    assert np.allclose(res.final[0], decay @ u0, atol=1e-7)
+    assert np.allclose(res.final[1], decay @ v0, atol=1e-7)
 
 
 def test_pure_diffusion_conserves_totals():
@@ -86,22 +86,22 @@ def test_pure_diffusion_conserves_totals():
     u0 = rng.uniform(0.5, 2.0, 12)
     v0 = rng.uniform(0.5, 2.0, 12)
     cfg = IntegratorConfig(t_max=2.0, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [NetworkState(u0, v0)], cfg)[0]
+    res = simulate_skt(p, lap, [np.array((u0, v0))], cfg)[0]
     # transport terms are Laplacian images, so node totals are invariant
-    assert res.final.u.sum() == pytest.approx(u0.sum(), rel=1e-10)
-    assert res.final.v.sum() == pytest.approx(v0.sum(), rel=1e-10)
+    assert res.final[0].sum() == pytest.approx(u0.sum(), rel=1e-10)
+    assert res.final[1].sum() == pytest.approx(v0.sum(), rel=1e-10)
 
 
 def test_homogeneous_equilibrium_converges_immediately():
     eq = equilibrium(P)
     g = gen_ring(10, 2)
     lap = build_laplacian(g)
-    init = NetworkState(np.full(10, eq.u_star), np.full(10, eq.v_star))
+    init = np.array((np.full(10, eq.u_star), np.full(10, eq.v_star)))
     res = simulate_skt(P, lap, [init], IntegratorConfig())[0]
     assert res.converged
     assert res.t_converged == 0.0
-    assert np.array_equal(res.final.u, init.u)
-    assert np.array_equal(res.final.v, init.v)
+    assert np.array_equal(res.final[0], init[0])
+    assert np.array_equal(res.final[1], init[1])
     assert res.steps_accepted == 0
 
 
@@ -258,8 +258,8 @@ def test_rhs_linearization_is_the_stability_mode_matrix():
 def test_perturb_zero_magnitude_exact():
     eq = equilibrium(P)
     st8 = perturb_homogeneous(eq, 5, magnitude=0.0, seed=3)
-    assert np.all(st8.u == eq.u_star)
-    assert np.all(st8.v == eq.v_star)
+    assert np.all(st8[0] == eq.u_star)
+    assert np.all(st8[1] == eq.v_star)
 
 
 def test_perturb_deterministic_and_seed_sensitive():
@@ -267,22 +267,22 @@ def test_perturb_deterministic_and_seed_sensitive():
     a = perturb_homogeneous(eq, 50, magnitude=1e-2, seed=0)
     b = perturb_homogeneous(eq, 50, magnitude=1e-2, seed=0)
     c = perturb_homogeneous(eq, 50, magnitude=1e-2, seed=1)
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    assert not np.array_equal(a.u, c.u)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_perturb_bounds_and_positivity():
     eq = equilibrium(P)
     s = perturb_homogeneous(eq, 2000, magnitude=0.05, seed=9)
-    assert np.all(s.u > 0) and np.all(s.v > 0)
-    assert np.all(np.abs(s.u / eq.u_star - 1.0) <= 0.05)
-    assert np.all(np.abs(s.v / eq.v_star - 1.0) <= 0.05)
+    assert np.all(s[0] > 0) and np.all(s[1] > 0)
+    assert np.all(np.abs(s[0] / eq.u_star - 1.0) <= 0.05)
+    assert np.all(np.abs(s[1] / eq.v_star - 1.0) <= 0.05)
 
 
 def test_perturb_sample_moments():
     eq = equilibrium(P)
     s = perturb_homogeneous(eq, 20000, magnitude=0.1, seed=2)
-    rel = s.u / eq.u_star - 1.0
+    rel = s[0] / eq.u_star - 1.0
     # uniform on [-0.1, 0.1]: mean 0, var m^2/3
     assert abs(rel.mean()) < 0.005
     assert rel.var() == pytest.approx(0.1**2 / 3.0, rel=0.1)
@@ -294,7 +294,7 @@ def test_perturb_magnitude_guard():
         perturb_homogeneous(eq, 10, magnitude=1.0)
     # the noise is relative: a magnitude above v* = 0.125 still keeps v positive
     s = perturb_homogeneous(eq, 1000, magnitude=0.9, seed=5)
-    assert np.all(s.u > 0) and np.all(s.v > 0)
+    assert np.all(s[0] > 0) and np.all(s[1] > 0)
     with pytest.raises(ValueError, match=">= 0"):
         perturb_homogeneous(eq, 10, magnitude=-0.1)
 
@@ -310,9 +310,9 @@ def test_converged_flag_is_sound():
     cfg = IntegratorConfig(steady_state_tol=1e-6)
     res = simulate_skt(P, lap, [init], cfg)[0]
     assert res.converged
-    du, dv = rhs(np.stack((res.final.u, res.final.v)), P, lap)
+    du, dv = rhs(res.final, P, lap)
     assert res.final_residual == max(np.abs(du).max(), np.abs(dv).max()) <= cfg.steady_state_tol
-    assert res.t_converged == res.final.t
+    assert res.t_converged == res.t_final
 
 
 def test_t_max_stop_reason():
@@ -323,7 +323,7 @@ def test_t_max_stop_reason():
     res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))[0]
     assert not res.converged
     assert res.reason == "t_max"
-    assert res.final.t == pytest.approx(1.0, abs=1e-12)
+    assert res.t_final == pytest.approx(1.0, abs=1e-12)
 
 
 def test_max_steps_stop_reason():
@@ -340,7 +340,7 @@ def test_max_steps_stop_reason():
 def test_nonfinite_state_raises_with_time():
     # negative quadratic "competition" coefficients are rejected by SktParams,
     # so drive blowup through a custom rhs
-    init = NetworkState(np.array([1.0]), np.array([1.0]))
+    init = np.array([[1.0], [1.0]])
 
     def explosive(u, v):
         return u * u * 100.0, v * 0.0
@@ -358,21 +358,21 @@ def test_integrator_deterministic():
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-30)
     r1 = simulate_skt(P, lap, [init], cfg)[0]
     r2 = simulate_skt(P, lap, [init], cfg)[0]
-    assert np.array_equal(r1.final.u, r2.final.u)
+    assert np.array_equal(r1.final[0], r2.final[0])
     assert np.array_equal(r1.times, r2.times)
     assert r1.steps_accepted == r2.steps_accepted
 
 
 def test_tighter_tolerance_reduces_error():
     p = SktParams(r1=1.3, r2=1.0, a1=0.7, a2=1.0, b1=0.0, b2=0.0)
-    init = NetworkState(np.array([0.2]), np.array([0.0]))
+    init = np.array([[0.2], [0.0]])
     lap = np.zeros((1, 1))
     expect = logistic_exact(0.2, 1.3, 0.7, 3.0)
     errs = []
     for rt in (1e-5, 1e-8, 1e-11):
         cfg = IntegratorConfig(rel_tol=rt, abs_tol=rt * 1e-2, t_max=3.0, steady_state_tol=1e-30)
         res = simulate_skt(p, lap, [init], cfg)[0]
-        errs.append(abs(res.final.u[0] - expect))
+        errs.append(abs(res.final[0, 0] - expect))
     assert errs[0] > errs[2]
     assert errs[2] < 1e-10
 
@@ -388,7 +388,7 @@ def test_sampling_honors_sample_dt():
     # grid-aligned sampling: at most one sample per sample_dt interval
     assert np.all(np.diff(res.times) > 0)
     assert res.times.size <= 10 / 1.0 + 2
-    assert res.u_traj.shape == (res.times.size, 10)
+    assert res.traj.shape == (res.times.size, 2, 10)
 
 
 def test_trajectory_buffer_is_bounded():
@@ -415,15 +415,15 @@ def test_shallow_undershoots_are_clamped_counted_and_reported():
     # every step that ends below it, and records the lowest unclamped value
     cfg = IntegratorConfig(t_max=40.0, steady_state_tol=0.0)
     eps = 5.0 * cfg.abs_tol
-    res = integrate_batch(_per_species(lambda u, v: (-u - eps, np.zeros_like(v))), [NetworkState([1.0], [0.5])], cfg)[0]
+    res = integrate_batch(_per_species(lambda u, v: (-u - eps, np.zeros_like(v))), [np.array([[1.0], [0.5]])], cfg)[0]
     assert not res.positivity_violated
     assert res.positivity_clamps >= 1
     assert res.positivity_clamps <= res.steps_accepted
     assert -eps <= res.min_state < 0.0
-    assert res.final.u[0] == 0.0 and res.final.v[0] == 0.5
+    assert res.final[0, 0] == 0.0 and res.final[1, 0] == 0.5
 
     # a growing state clamps nothing; its minimum is the initial one
-    res = integrate_batch(_per_species(lambda u, v: (u, np.zeros_like(v))), [NetworkState([1.0], [0.5])], dataclasses.replace(cfg, t_max=1.0))[0]
+    res = integrate_batch(_per_species(lambda u, v: (u, np.zeros_like(v))), [np.array([[1.0], [0.5]])], dataclasses.replace(cfg, t_max=1.0))[0]
     assert res.positivity_clamps == 0
     assert res.min_state == 0.5
 
@@ -435,9 +435,7 @@ def _assert_same_result(a, b):
     """Every field of two SimulationResults is bit for bit equal."""
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, NetworkState):
-            assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v) and x.t == y.t, f.name
-        elif isinstance(x, np.ndarray):
+        if isinstance(x, np.ndarray):
             assert x.shape == y.shape and np.array_equal(x, y), f.name
         else:
             assert type(x) is type(y) and x == y, f.name
@@ -471,7 +469,7 @@ def test_batch_with_mixed_fates_matches_solo_runs():
     cfg = IntegratorConfig(t_max=40.0, steady_state_tol=0.0, max_steps=300)
     u0 = [1.0, 0.5, 2.0]
     rates = (1000.0, 0.0, 1.0, 0.01, 10.0)
-    inits = [NetworkState(u0, [rate] * 3) for rate in rates]
+    inits = [np.array((u0, [rate] * 3)) for rate in rates]
     batch = integrate_batch(_relax_at_rate_v, inits, cfg)
     for init, res in zip(inits, batch):
         _assert_same_result(res, integrate_batch(_relax_at_rate_v, [init], cfg)[0])
@@ -491,7 +489,7 @@ def test_batch_raises_the_error_of_the_first_failing_member():
         return np.stack((u * (v * u - 1.0), np.zeros_like(v)), axis=1)
 
     cfg = IntegratorConfig(t_max=100.0, steady_state_tol=1e-30)
-    decays, late, early = (NetworkState([1.0], [v]) for v in (1e-3, 1.05, 100.0))
+    decays, late, early = (np.array([[1.0], [v]]) for v in (1e-3, 1.05, 100.0))
     assert integrate_batch(field, [decays], cfg)[0].reason == "t_max"
 
     def error(inits):
@@ -530,11 +528,28 @@ def test_config_accepts_infinite_t_max():
     assert IntegratorConfig(t_max=math.inf).t_max == math.inf
 
 
-def test_state_validation():
+@pytest.mark.parametrize("inits", [
+    pytest.param([np.zeros(3)], id="one-species"),
+    pytest.param([np.zeros((3, 4))], id="three-species"),
+    pytest.param([np.zeros((2, 2, 2))], id="2-d-species"),
+    pytest.param([np.zeros((2, 0))], id="no-nodes"),
+    pytest.param([], id="no-states"),
+    pytest.param(np.zeros((2, 3)), id="bare-state"),
+    pytest.param([np.zeros((2, 3)), np.zeros((2, 4))], id="ragged"),
+])
+def test_integrate_batch_rejects_states_that_are_not_2_by_n(inits):
+    field = _per_species(lambda u, v: (-u, -v))
     with pytest.raises(ValueError):
-        NetworkState(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        NetworkState(np.zeros((2, 2)), np.zeros((2, 2)))
+        integrate_batch(field, inits)
+
+
+def test_integrate_batch_takes_a_stack_or_a_sequence_of_states():
+    field = _per_species(lambda u, v: (-u, -v))
+    cfg = IntegratorConfig(t_max=1.0)
+    stack = np.array([[[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.5], [0.0, 1.0]]])
+    for a, b in zip(integrate_batch(field, stack, cfg), integrate_batch(field, list(stack), cfg)):
+        _assert_same_result(a, b)
+        assert a.final.shape == (2, 2) and a.traj.shape == (a.times.size, 2, 2)
 
 
 # ------------------------------------------------------------ metrics, I/O
@@ -542,7 +557,7 @@ def test_state_validation():
 
 def test_pattern_metrics_homogeneous_is_flat():
     eq = equilibrium(P)
-    state = NetworkState(np.full(8, eq.u_star), np.full(8, eq.v_star))
+    state = np.array((np.full(8, eq.u_star), np.full(8, eq.v_star)))
     m = pattern_metrics(state, eq)
     assert m.heterogeneity == 0.0
     assert m.pct_change_u == 0.0
@@ -550,7 +565,7 @@ def test_pattern_metrics_homogeneous_is_flat():
 
 
 def test_pattern_metrics_known_values():
-    state = NetworkState(np.array([1.0, 3.0]), np.array([2.0, 2.0]))
+    state = np.array([[1.0, 3.0], [2.0, 2.0]])
     m = pattern_metrics(state, (2.0, 1.0))
     assert m.heterogeneity == 1.0  # u deviates by 1, v by 0
     assert m.total_u == 4.0
@@ -571,11 +586,23 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == res.times.size + 1
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0
-    assert first[1:5] == list(init.u)
+    assert first[1:5] == list(init[0])
+
+
+def test_trajectory_csv_cells_read_as_fmt_float_writes_them(tmp_path):
+    # the writer formats a whole row with one % format; every cell must
+    # still be the text fmt_float gives, special values included
+    res = integrate_batch(_per_species(lambda u, v: (-u, -v)), [np.ones((2, 5))], IntegratorConfig(t_max=0.1))[0]
+    cells = [0.0, -0.0, 5e-324, 1e-320, 1.0 / 3.0, -2.5e-17, 1e300, 2.0**70, math.inf, -math.inf, math.nan]
+    res = dataclasses.replace(res, times=np.array([0.0, 0.1, 1.0 / 3.0]), traj=np.resize(cells, (3, 2, 5)))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(res, path)
+    expect = [",".join(fmt_float(x) for x in (t, *state.ravel())) for t, state in zip(res.times, res.traj)]
+    assert path.read_text().splitlines()[1:] == expect
 
 
 def test_final_state_csv_layout(tmp_path):
-    state = NetworkState(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    state = np.array([[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "final.csv"
     write_final_state_csv(state, path)
     assert path.read_text() == "node,u,v\n0,1,3\n1,2,4\n"

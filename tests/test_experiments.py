@@ -89,7 +89,7 @@ def test_simulate_and_report_runs_and_metrics(tmp_path):
     )
     assert [r.seed for r in runs] == [0, 1]
     for r in runs:
-        assert r.result.final.t == pytest.approx(40.0)
+        assert r.result.t_final == pytest.approx(40.0)
         assert r.metrics.total_u > 0
     assert (out / "report.json").exists()
     assert (out / "spectrum.csv").exists()
