@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .dynamics import IntegratorConfig
 from .errors import ConfigError, require_int, require_real
 from .graphs import GraphSpec
+from .rng import check_seed
 from .stability import DEFAULT_SKT_PARAMS, SktParams
 
 
@@ -31,7 +32,7 @@ class ExperimentConfig:
         require_real("perturbation", self.perturbation)
         require_int("realizations", self.realizations)
         for i, seed in enumerate(self.seeds):
-            require_int(f"seeds[{i}]", seed)
+            check_seed(seed, f"seeds[{i}]")
         if self.threads is not None:
             require_int("threads", self.threads)
         if not 0 <= self.perturbation < 1:
@@ -175,6 +176,11 @@ def build_run_config(doc: dict) -> RunConfig:
         if exp["sweep_values"] is not None:
             exp["sweep_values"] = tuple(exp["sweep_values"])
         experiment = ExperimentConfig(**exp)
+        for i, value in enumerate(experiment.sweep_values or ()):
+            try:
+                dataclasses.replace(graph, **{experiment.sweep_param: value})
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"sweep_values[{i}] must be a valid {experiment.sweep_param}: {exc}") from exc
         if not isinstance(doc["output_dir"], str):
             raise ValueError(f"output_dir must be a string, got {doc['output_dir']!r}")
     except (TypeError, ValueError) as exc:

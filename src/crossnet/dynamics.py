@@ -3,7 +3,13 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and first-same-as-last reuse.  It advances a batch of states at
 once, sharing each right-hand-side call, while every state keeps its own
-steps and stops on its own; a single state is a batch of one.  Runs stop
+steps and stops on its own; a single state is a batch of one.  After each
+accepted step it applies DOPRI5's stiffness test (Hairer & Wanner, Solving
+ODEs II, IV.2); a state that keeps failing it is held at the stability
+limit of the explicit pair rather than by its error control, and continues
+to the end with a damped second-order Runge-Kutta-Chebyshev method (RKC;
+Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998), whose real
+stability interval grows with the square of its stage count.  Runs stop
 early once the infinity norm of the right-hand side falls below
 ``steady_state_tol``, which is how steady patterns are detected.  Exact
 solutions of the model stay non-negative for non-negative data; the
@@ -90,6 +96,7 @@ class SimulationResult:
     final_residual: float  # max |F| over both species at the final state
     positivity_clamps: int  # accepted steps on which a shallow undershoot was set to 0
     min_state: float  # smallest u or v at the start and over accepted steps, before clamping
+    t_stiff: float | None  # when the run handed over to RKC, None if it never did
 
     @property
     def converged(self) -> bool:
@@ -159,6 +166,21 @@ _MAX_FACTOR = 10.0
 _BETA1 = 0.7 / 5.0
 _BETA2 = 0.4 / 5.0
 
+# DOPRI5's stiffness test: an accepted step whose h * ||k7 - k6|| / ||y7 - y6||
+# (a Lipschitz estimate along the step) exceeds _STIFF_BOUND, just below the
+# pair's real stability limit of about 3.3, is flagged; _STIFF_FLAGS flags make
+# the state stiff, and _STIFF_CLEAR unflagged steps in a row clear the count
+_STIFF_BOUND = 3.25
+_STIFF_FLAGS = 15
+_STIFF_CLEAR = 6
+
+# damped RKC as in rkc.f: the damping, the accepted steps between two spectral
+# radius estimates, and the power iterations an estimate may take
+_RKC_DAMPING = 2.0 / 13.0
+_RKC_RHO_EVERY = 25
+_RKC_POWER_ITERATIONS = 50
+_UROUND = float(np.finfo(float).eps)
+
 
 class _SampleBuffer:
     """Accepted-step samples with on-the-fly decimation to a bounded count."""
@@ -206,6 +228,14 @@ class _Member:
         self.positivity_violated = False
         self.min_state = float(y0.min())
         self.residual = 0.0  # max |F| at the current state
+        self.flags = 0  # DP5 steps flagged by the stiffness test, and unflagged ones since the last
+        self.clear = 0
+        self.t_stiff: float | None = None  # set when the state hands over to RKC
+        self.stages = 0  # RKC stages of the current step
+        self.rho: float | None = None  # spectral radius estimate; None when one is due
+        self.rho_dir: np.ndarray | None = None  # where its power iteration starts
+        self.rho_age = 0  # accepted steps since the estimate
+        self.h_last: float | None = None  # the previous accepted RKC step
         self.result: SimulationResult | None = None
         self.error: IntegrationError | None = None
 
@@ -229,6 +259,7 @@ class _Member:
             final_residual=self.residual,
             positivity_clamps=self.clamps,
             min_state=self.min_state,
+            t_stiff=self.t_stiff,
         )
 
 
@@ -256,6 +287,131 @@ def _rms(x: np.ndarray, scale: np.ndarray) -> list[float]:
     return np.sqrt(np.add.reduce(q, axis=1) / q.shape[1]).tolist()
 
 
+def _norms(x: np.ndarray) -> list[float]:
+    """Euclidean norm of each row of ``x``."""
+    return np.sqrt(np.add.reduce(x * x, axis=1)).tolist()
+
+
+def _dp5_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, cfg: IntegratorConfig):
+    """One Dormand-Prince step of each row of ``y`` (``f`` the field there, ``h``
+    a column of step sizes): the new states, their derivatives, the error
+    norms, and the sixth stage's input and derivative for the stiffness test."""
+    k = np.empty((len(y), 7, y.shape[1]))
+    k[:, 0] = f
+    for i in range(1, 6):
+        stage = y + h * (_DP_A[i, :i] @ k[:, :i])
+        k[:, i] = _evaluate(field, stage)
+    y_new = y + h * (_DP_A[6, :6] @ k[:, :6])
+    k[:, 6] = _evaluate(field, y_new)
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, k[:, 6], _rms(h * (_DP_ERR @ k), scale), stage, k[:, 5]
+
+
+_RKC_TABLES: dict[int, tuple[float, np.ndarray]] = {}
+
+
+def _rkc_table(s: int) -> tuple[float, np.ndarray]:
+    """The s-stage damped RKC method: the weight mu~_1 of its first stage,
+    Y_1 = y + h mu~_1 F(y), and the rows (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j,
+    a_{j-1}) of the stages j = 2..s,
+
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) y
+              + h mu~_j (F(Y_{j-1}) - a_{j-1} F(y)),
+
+    with Y_0 = y and Y_s the new state (rkc.f's RKCSTP)."""
+    if s not in _RKC_TABLES:
+        w0 = 1.0 + _RKC_DAMPING / (s * s)
+        # Chebyshev polynomials T_j and their first two derivatives at w0
+        z, dz, d2z = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+        for j in range(2, s + 1):
+            z.append(2.0 * w0 * z[j - 1] - z[j - 2])
+            dz.append(2.0 * w0 * dz[j - 1] - dz[j - 2] + 2.0 * z[j - 1])
+            d2z.append(2.0 * w0 * d2z[j - 1] - d2z[j - 2] + 4.0 * dz[j - 1])
+        w1 = dz[s] / d2z[s]
+        b = [0.25 / (w0 * w0)] * 2 + [d2z[j] / (dz[j] * dz[j]) for j in range(2, s + 1)]
+        rows = []
+        for j in range(2, s + 1):
+            mu, nu = 2.0 * w0 * b[j] / b[j - 1], -b[j] / b[j - 2]
+            rows.append((mu, nu, 1.0 - mu - nu, mu * w1 / w0, 1.0 - z[j - 1] * b[j - 1]))
+        _RKC_TABLES[s] = (w1 * b[1], np.array(rows))
+    return _RKC_TABLES[s]
+
+
+def _rkc_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, stages: list[int], cfg: IntegratorConfig):
+    """One damped RKC step of each row of ``y`` (``f`` the field there, ``h`` a
+    column of step sizes) with the row's own stage count: the new states,
+    their derivatives and the error norms of rkc.f's estimate
+    0.8 (y - y_new) + 0.4 h (f + f_new), on the Dormand-Prince scale."""
+    counts = np.array(stages)
+    first = np.empty((len(y), 1))
+    coef = np.zeros((len(y), counts.max() - 1, 5))
+    for i, s in enumerate(stages):
+        first[i], coef[i, : s - 1] = _rkc_table(s)
+    y_new = np.empty_like(y)
+    rows, y0, f0, hs = np.arange(len(y)), y, f, h
+    prev2, prev = y, y + h * first * f
+    for j in range(2, counts.max() + 1):
+        going = counts[rows] >= j
+        if not going.all():
+            # rows whose last stage is done leave the working set
+            y_new[rows[~going]] = prev[~going]
+            rows, y0, f0, hs, coef, prev2, prev = (a[going] for a in (rows, y0, f0, hs, coef, prev2, prev))
+        mu, nu, rest, mus, a = coef[:, j - 2].T[:, :, None]
+        stage = mu * prev + nu * prev2 + rest * y0 + hs * mus * (_evaluate(field, prev) - a * f0)
+        prev2, prev = prev, stage
+    y_new[rows] = prev
+    f_new = _evaluate(field, y_new)
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, f_new, _rms(0.8 * (y - y_new) + 0.4 * h * (f + f_new), scale)
+
+
+def _estimate_spectral_radius(field, members: list[_Member], y: np.ndarray, f: np.ndarray, small: float) -> None:
+    """rkc.f's nonlinear power iteration (RKCRHO) for the spectral radius of
+    the Jacobian of ``field`` at each row of ``y`` (``f`` the field there).
+
+    Each member's iteration starts along its ``rho_dir`` and probes at a
+    distance sqrt(eps) * ||y|| from y; it settles when two successive
+    estimates agree to 1% of the larger of the estimate and ``small``.  Sets
+    ``rho`` to 1.2 times the estimate and ``rho_dir`` to the last direction,
+    and counts every probe; a member whose estimate does not settle within
+    the iteration limit gets an IntegrationError.
+    """
+    n = y.shape[1]
+    ynrm, dnrm = _norms(y), _norms(np.array([m.rho_dir for m in members]))
+    v = np.empty_like(y)
+    dist = []
+    for i, m in enumerate(members):
+        dist.append(ynrm[i] * _UROUND ** 0.5 if ynrm[i] > 0.0 else _UROUND)
+        if dnrm[i] > 0.0:
+            v[i] = y[i] + m.rho_dir * (dist[i] / dnrm[i])
+        else:
+            v[i] = y[i] + (y[i] * _UROUND ** 0.5 if ynrm[i] > 0.0 else _UROUND)
+    sigma = [0.0] * len(members)
+    pending = list(range(len(members)))
+    for iteration in range(1, _RKC_POWER_ITERATIONS + 1):
+        df = _evaluate(field, v[pending]) - f[pending]
+        still = []
+        for i, row, dfnrm in zip(pending, df, _norms(df)):
+            m = members[i]
+            m.evals += 1
+            previous, sigma[i] = sigma[i], dfnrm / dist[i]
+            if iteration >= 2 and abs(sigma[i] - previous) <= 0.01 * max(sigma[i], small):
+                m.rho, m.rho_dir, m.rho_age = 1.2 * sigma[i], v[i] - y[i], 0
+                continue
+            if dfnrm > 0.0:
+                v[i] = y[i] + row * (dist[i] / dfnrm)
+            else:
+                # v fell onto y: flip the sign of one component of v - y
+                c = iteration % n
+                v[i, c] = y[i, c] - (v[i, c] - y[i, c])
+            still.append(i)
+        pending = still
+        if not pending:
+            return
+    for i in pending:
+        members[i].error = IntegrationError("spectral radius estimate did not converge", members[i].t)
+
+
 def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
     """Advance ``dY/dt = field(Y)`` from each state of ``inits`` until it stops.
 
@@ -265,17 +421,28 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     their time derivatives, and must treat the states of the stack
     independently.  Every state is integrated as if it were alone: it keeps
     its own step size, PI controller, accept/reject decisions, FSAL stage,
-    clamps, stop test, samples and counters, and it leaves the batch when it
-    stops on steady state (converged), ``t_max`` or ``max_steps``.  The
-    states share each field call, and each array operation of the loop acts
-    on every state's row on its own, so a state's result is bit for bit the
-    one it gets in a batch of one.  Returns one SimulationResult per initial
-    state, in order.
+    stiffness count, clamps, stop test, samples and counters, and it leaves
+    the batch when it stops on steady state (converged), ``t_max`` or
+    ``max_steps``.  The states share each field call, and each array
+    operation of the loop acts on every state's row on its own, so a state's
+    result is bit for bit the one it gets in a batch of one.  Returns one
+    SimulationResult per initial state, in order.
 
-    A state whose step size underflows, or that leaves the representable
-    range entirely, fails with an IntegrationError.  The error raised is
-    that of the first failing state in ``inits`` order, as soon as every
-    state before it has stopped: the error a one-by-one run would raise.
+    A state steps with Dormand-Prince until DOPRI5's stiffness test has
+    flagged 15 of its accepted steps with no 6 unflagged ones in a row
+    between them; from then on (``t_stiff``) it steps with damped RKC: s =
+    1 + floor(sqrt(1 + 1.54 h rho)) stages for the spectral radius estimate
+    rho, which is refreshed every 25 accepted steps and after a rejection
+    (unless it was estimated at that state), rkc.f's error estimate and
+    step-size controller, and the same
+    tolerances, stop tests, clamps and sampling.  Its ``rhs_evaluations``
+    count every stage and every probe of the spectral radius estimate.
+
+    A state whose step size underflows, whose spectral radius estimate does
+    not settle, or that leaves the representable range entirely, fails with
+    an IntegrationError.  The error raised is that of the first failing
+    state in ``inits`` order, as soon as every state before it has stopped:
+    the error a one-by-one run would raise.
     """
     y = np.array(inits, dtype=float)
     if y.ndim != 3 or y.shape[1] != 2 or y.shape[0] * y.shape[2] == 0:
@@ -291,9 +458,9 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     active = [members[j] for j in live]
     y = y[live]
 
-    f0 = _evaluate(field, y)
+    f = _evaluate(field, y)
     live = []
-    for j, (m, residual) in enumerate(zip(active, np.abs(f0).max(axis=1).tolist())):
+    for j, (m, residual) in enumerate(zip(active, np.abs(f).max(axis=1).tolist())):
         m.evals += 1
         m.residual = residual
         if residual <= cfg.steady_state_tol:
@@ -301,22 +468,24 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         else:
             live.append(j)
     active = [active[j] for j in live]
-    y, f0 = y[live], f0[live]
+    y, f = y[live], f[live]
 
     if active:
         # initial step sizes: the standard two-probe startup heuristic
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-        d0, d1 = _rms(y, scale), _rms(f0, scale)
+        d0, d1 = _rms(y, scale), _rms(f, scale)
         h0 = [min(1e-6 if a < 1e-10 or b < 1e-10 else 0.01 * a / b, cfg.t_max) for a, b in zip(d0, d1)]
-        f1 = _evaluate(field, y + np.array(h0)[:, None] * f0)
-        for m, h, b, c in zip(active, h0, d1, _rms(f1 - f0, scale)):
+        f1 = _evaluate(field, y + np.array(h0)[:, None] * f)
+        for m, h, b, c in zip(active, h0, d1, _rms(f1 - f, scale)):
             m.evals += 1
             d2 = c / h
             h1 = max(1e-6, h * 1e-3) if max(b, d2) <= 1e-15 else (0.01 / max(b, d2)) ** 0.2
             m.h = min(100.0 * h, h1, cfg.t_max)
 
-    k = np.empty((len(active), 7, y.shape[1]))
-    k[:, 0] = f0
+    # spectral radii below this cannot limit a step within t_max
+    small = 1.0 / cfg.t_max
+    # rkc.f's bound on the stage count, which keeps rounding errors in check
+    max_stages = max(2, round((cfg.rel_tol / (10.0 * _UROUND)) ** 0.5))
     while active:
         live = []
         for j, m in enumerate(active):
@@ -332,31 +501,49 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                     m.error = IntegrationError("step size underflow", m.t)
                 else:
                     live.append(j)
+        due = [j for j in live if active[j].t_stiff is not None and active[j].rho is None]
+        if due:
+            _estimate_spectral_radius(field, [active[j] for j in due], y[due], f[due], small)
+            live = [j for j in live if not active[j].done]
         error = _first_error(members)
         if error is not None:
             raise error
         if len(live) < len(active):
             active = [active[j] for j in live]
-            y, k = y[live], k[live]
+            y, f = y[live], f[live]
             if not active:
                 break
 
+        # Dormand-Prince for the states not yet found stiff, RKC for the others
+        dp = [j for j, m in enumerate(active) if m.t_stiff is None]
+        rk = [j for j, m in enumerate(active) if m.t_stiff is not None]
+        for j in rk:
+            m = active[j]
+            m.stages = 1 + int((1.0 + 1.54 * m.h * m.rho) ** 0.5)
+            if m.stages > max_stages:
+                m.stages = max_stages
+                m.h = (max_stages * max_stages - 1) / (1.54 * m.rho)
         h = np.array([m.h for m in active])[:, None]
-        for i in range(1, 6):
-            k[:, i] = _evaluate(field, y + h * (_DP_A[i, :i] @ k[:, :i]))
-        y_new = y + h * (_DP_A[6, :6] @ k[:, :6])
-        k[:, 6] = _evaluate(field, y_new)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        errs = _rms(h * (_DP_ERR @ k), scale)
+        y_new, f_new, errs = np.empty_like(y), np.empty_like(y), np.empty(len(active))
+        if dp:
+            y_new[dp], f_new[dp], errs[dp], y6, f6 = _dp5_step(field, y[dp], f[dp], h[dp], cfg)
+        if rk:
+            y_new[rk], f_new[rk], errs[rk] = _rkc_step(field, y[rk], f[rk], h[rk], [active[j].stages for j in rk], cfg)
+        errs = errs.tolist()
 
         accept = []
         for m, err in zip(active, errs):
-            m.evals += 6
+            m.evals += 6 if m.t_stiff is None else m.stages
             ok = isfinite(err) and err <= 1.0
             accept.append(ok)
             if not ok:
                 m.rejected += 1
-                m.h *= _MIN_FACTOR if not isfinite(err) else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                if m.t_stiff is None:
+                    m.h *= _MIN_FACTOR if not isfinite(err) else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                else:
+                    m.h *= _MIN_FACTOR if not isfinite(err) else 0.8 * err ** (-1 / 3)
+                    if m.rho_age:  # else rho was estimated at this very state
+                        m.rho = None
         if all(accept):
             y = y_new
         else:
@@ -381,9 +568,17 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                     y[j, shallow] = 0.0
                     clamped.append(j)
         if clamped:
-            k[clamped, 6] = _evaluate(field, y[clamped])
+            f_new[clamped] = _evaluate(field, y[clamped])
 
-        residuals = np.abs(k[:, 6]).max(axis=1).tolist()
+        # the stiffness test of each Dormand-Prince step, on y7 and k7 as accepted
+        flagged = [None] * len(active)  # y7 - y6 of each flagged step
+        if dp:
+            dy = y[dp] - y6
+            for j, row, num, den in zip(dp, dy, _norms(f_new[dp] - f6), _norms(dy)):
+                if den > 0.0 and active[j].h * num > _STIFF_BOUND * den:
+                    flagged[j] = row
+
+        residuals = np.abs(f_new).max(axis=1).tolist()
         finite = np.isfinite(y).all(axis=1).tolist()
         for j, (m, ok, err) in enumerate(zip(active, accept, errs)):
             if not ok:
@@ -395,14 +590,35 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                 m.finish(y[j], "steady_state")
             elif not finite[j]:
                 m.error = IntegrationError("state became non-finite", m.t)
-            else:
+            elif m.t_stiff is None:
                 factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -_BETA1 * m.err_prev ** _BETA2
                 m.h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 m.err_prev = max(err, 1e-10)
+                if flagged[j] is None:
+                    m.clear += 1
+                    if m.clear == _STIFF_CLEAR:
+                        m.flags = 0
+                else:
+                    m.flags, m.clear = m.flags + 1, 0
+                    if m.flags == _STIFF_FLAGS:
+                        m.t_stiff, m.rho_dir = m.t, flagged[j].copy()
+            else:
+                # rkc.f's predictive controller, from the last two steps once there are two
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                elif m.h_last is None:
+                    factor = 0.8 * err ** (-1 / 3)
+                else:
+                    factor = 0.8 * m.h / m.h_last * m.err_prev ** (1 / 3) * err ** (-2 / 3)
+                m.h_last, m.err_prev = m.h, max(err, 1e-10)
+                m.h *= min(_MAX_FACTOR, max(0.1, factor))
+                m.rho_age += 1
+                if m.rho_age == _RKC_RHO_EVERY:
+                    m.rho = None
         if all(accept):
-            k[:, 0] = k[:, 6]
+            f = f_new
         else:
-            k[accept, 0] = k[accept, 6]
+            f[accept] = f_new[accept]
 
     error = _first_error(members)
     if error is not None:

@@ -240,6 +240,7 @@ def _run_summary(run: SeedRunResult) -> dict:
         "converged": run.result.converged,
         "t_converged": run.result.t_converged,
         "reason": run.result.reason,
+        "t_stiff": run.result.t_stiff,
         "positivity_violated": run.result.positivity_violated,
         "positivity_clamps": run.result.positivity_clamps,
         "min_state": run.result.min_state,

@@ -135,6 +135,8 @@ class GraphSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}; choose from {FAMILIES}")
         check_seed(self.seed)
+        if not isinstance(self.require_connected, bool):
+            raise ValueError(f"require_connected must be a boolean, got {self.require_connected!r}")
         for name in ("n", "k", "rows", "cols"):
             if getattr(self, name) is not None:
                 require_int(name, getattr(self, name))

@@ -16,10 +16,11 @@ from .errors import require_int
 _MAX_SEED = 2**64
 
 
-def check_seed(seed: int) -> int:
-    require_int("seed", seed)
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` as an int; ValueError naming ``name`` unless it is an unsigned 64-bit integer."""
+    require_int(name, seed)
     if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
     return int(seed)
 
 

@@ -242,9 +242,14 @@ _ER = ("--set", "graph.family=erdos-renyi", "--set", "graph.n=20", "--set", "gra
     ("stability", "d12", ("--set", "skt.d12=true")),
     ("spectrum", "master_seed", ("--set", "master_seed=true")),
     ("stability", "r1", ("--set", "skt.r1=abc")),
+    ("simulate", "seeds[0]", ("--set", "experiment.seeds=[-1]", "--set", "integrator.max_steps=50")),
+    ("ensemble", "sweep_values[1]", (*_ER, "--set", "experiment.sweep_param=n",
+                                     "--set", "experiment.sweep_values=[20,30.5]", "--set", "experiment.realizations=5")),
+    ("spectrum", "require_connected", (*_ER, "--set", "graph.require_connected=1")),
 ])
 def test_mistyped_setting_is_a_config_error_naming_its_key(capsys, tmp_path, command, key, args):
-    # booleans are not numbers, and integer keys take no fractional values
+    # booleans are not numbers, integer keys take no fractional values, seeds
+    # are unsigned 64-bit, and every swept value must make a valid graph
     out_dir = tmp_path / "typed"
     code, out = run_cli(capsys, command, "--output-dir", str(out_dir), *args)
     assert code == 2, out
@@ -292,6 +297,40 @@ def test_exit_code_4_on_missing_config_file(capsys, tmp_path):
     code, out = run_cli(capsys, "config", "dump", "--config", str(tmp_path / "missing.json"))
     assert code == 4
     assert json.loads(out)["error"] == "io"
+
+
+def test_default_simulate_converges(capsys, tmp_path):
+    code, out = run_cli(capsys, "simulate", "--output-dir", str(tmp_path / "sim"))
+    assert code == 0
+    run = json.loads((tmp_path / "sim" / "report.json").read_text())["runs"][0]
+    assert run["reason"] == "steady_state" and run["converged"] is True
+    assert run["final_residual"] <= 1e-9
+    assert run["t_stiff"] is not None and run["t_stiff"] < run["t_converged"]
+    assert json.loads(out)["runs"][0]["final_residual"] == run["final_residual"]
+
+
+def test_decaying_simulation_converges_to_the_homogeneous_state(capsys, tmp_path):
+    # self-diffusion this strong leaves no unstable mode: the pattern decays
+    code, _ = run_cli(capsys, "simulate", "--output-dir", str(tmp_path / "sim"), "--set", "skt.d11=0.5",
+                      "--set", "skt.d22=0.2", "--set", "graph.n=30", "--set", "graph.k=3")
+    assert code == 0
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    assert report["unstable_modes"] == []
+    run = report["runs"][0]
+    assert run["reason"] == "steady_state"
+    assert run["metrics"]["heterogeneity"] < 1e-6
+
+
+def test_a_run_that_is_never_stiff_stays_with_dormand_prince(capsys, tmp_path):
+    # the stiffness test does not fire before t = 5; these are the figures of
+    # the Dormand-Prince integrator alone
+    code, out = run_cli(capsys, "simulate", "--output-dir", str(tmp_path / "sim"), "--set", "integrator.t_max=5")
+    assert code == 0
+    run = json.loads((tmp_path / "sim" / "report.json").read_text())["runs"][0]
+    assert run["t_stiff"] is None
+    assert (run["reason"], run["steps_accepted"], run["steps_rejected"], run["rhs_evaluations"]) == ("t_max", 53, 0, 320)
+    assert run["final_residual"] == 0.0004415516398622657
+    assert run["metrics"]["heterogeneity"] == 0.009317132438511427
 
 
 def test_simulate_summary_says_why_a_run_did_not_converge(capsys, tmp_path):

@@ -105,6 +105,70 @@ def test_homogeneous_equilibrium_converges_immediately():
     assert res.steps_accepted == 0
 
 
+def _stiff_diffusion(rel_tol: float):
+    """Pure diffusion on a ring whose fast modes make DP5 hand over to RKC,
+    and its exact final state."""
+    lap = build_laplacian(gen_ring(50, 5))
+    p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=5.0)
+    rng = np.random.default_rng(3)
+    init = rng.uniform(0.5, 2.0, (2, 50))
+    t_end = 5.0
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_max=t_end, steady_state_tol=1e-30)
+    res = simulate_skt(p, lap, [init], cfg)[0]
+    vals, vecs = np.linalg.eigh(lap)
+    return res, init @ (vecs @ np.diag(np.exp(-p.d * vals * t_end)) @ vecs.T)
+
+
+def test_stiff_diffusion_hands_over_to_rkc_and_matches_matrix_exponential():
+    res, exact = _stiff_diffusion(IntegratorConfig().rel_tol)
+    assert res.reason == "t_max" and 0.0 < res.t_stiff < res.t_final
+    assert np.allclose(res.final, exact, atol=1e-7)
+    # RKC stages are combinations of y and h*f, and f sums to 0 over the nodes
+    assert res.final.sum(axis=1) == pytest.approx(res.traj[0].sum(axis=1), rel=1e-12)
+    loose, tight = (np.abs(r.final - e).max() for r, e in (_stiff_diffusion(1e-6), _stiff_diffusion(1e-10)))
+    assert tight < loose / 100
+
+
+@pytest.mark.parametrize("stages", [[2], [3], [7], [20], [2, 5, 3], [11, 4, 11]])
+def test_rkc_step_is_second_order_and_stable_on_its_interval(stages):
+    # on y' = z*y a step of size 1 multiplies y by the method's stability
+    # polynomial R_s(z); the stage count rule s = 1 + floor(sqrt(1 + 1.54*h*rho))
+    # picks s for h*rho < (s^2 - 1)/1.54, where |R_s| must stay <= 1
+    from crossnet.dynamics import _rkc_step
+
+    small = -np.logspace(-4, -1, 8)
+    z = np.concatenate((small, -np.linspace(0.0, (max(stages) ** 2 - 1) / 1.54, 2000)))
+    field = lambda y: y * z.reshape(2, -1)  # noqa: E731
+    y = np.ones((len(stages), z.size))
+    growth, f_new, _ = _rkc_step(field, y, y * z, np.ones((len(stages), 1)), stages, IntegratorConfig())
+    assert np.array_equal(f_new, growth * z)
+    for s, row in zip(stages, growth):
+        assert np.abs(row[z >= -(s * s - 1) / 1.54]).max() <= 1.0
+        # second order: the local error is O(z^3)
+        assert np.all(np.abs(row[:8] - np.exp(small)) <= 0.2 * np.abs(small) ** 3 + 1e-15)
+
+
+def test_spectral_radius_estimate_settles_on_the_largest_eigenvalue():
+    # on y' = z*y the Jacobian is diag(z); starting along the ones vector,
+    # whose first probe sees only the RMS of z, the power iteration must
+    # settle on max|z| = 100 and report 1.2 times it
+    from crossnet.dynamics import _Member, _estimate_spectral_radius
+
+    z = -np.concatenate((np.linspace(1.0, 50.0, 79), [100.0]))
+    field = lambda y: y * z.reshape(2, -1)  # noqa: E731
+    y = np.full((1, 80), 2.0)
+    m = _Member(y[0], IntegratorConfig())
+    m.rho_dir = np.ones(80)
+    _estimate_spectral_radius(field, [m], y, y * z, 0.0)
+    assert m.error is None and m.rho_age == 0
+    assert m.rho == pytest.approx(120.0, rel=1e-2)
+    assert 2 < m.evals <= 50
+    # the next estimate starts along the settled direction and needs two probes
+    m.evals = 0
+    _estimate_spectral_radius(field, [m], y, y * z, 0.0)
+    assert m.evals == 2 and m.rho == pytest.approx(120.0, rel=1e-2)
+
+
 # --------------------------------------------------------------- rhs pieces
 
 
@@ -456,6 +520,23 @@ def test_batch_members_equal_their_solo_runs(n, k, t_max):
         batch = simulate_skt(P, lap, [inits[j] for j in members], cfg)
         assert len(batch) == len(members)
         for j, res in zip(members, batch):
+            _assert_same_result(res, solo[j])
+
+
+def test_batch_mixing_rkc_and_dp5_members_equals_their_solo_runs():
+    # by t = 20 three of these states have handed over to RKC, at different
+    # times, and two have not; one of them converges
+    lap = build_laplacian(gen_ring(30, 3))
+    eq = equilibrium(P)
+    inits = [perturb_homogeneous(eq, 30, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
+    cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
+    solo = [simulate_skt(P, lap, [init], cfg)[0] for init in inits]
+    switched = [r.t_stiff is not None for r in solo]
+    assert any(switched) and not all(switched)
+    assert len({r.t_stiff for r in solo if r.t_stiff is not None}) > 1
+    assert {r.reason for r in solo} == {"steady_state", "t_max"}
+    for members in ((1, 0), (0, 1, 2, 3, 4), (4, 3)):
+        for j, res in zip(members, simulate_skt(P, lap, [inits[j] for j in members], cfg)):
             _assert_same_result(res, solo[j])
 
 
