@@ -252,6 +252,19 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone, and any diagnostic with it; the files
+        # are written, and stdout goes to devnull for the flush at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_IO
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     sub = getattr(args, "graph_command", None) or getattr(args, "config_command", None)
     handler = _COMMANDS[(args.command, sub)]
     try:

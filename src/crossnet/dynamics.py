@@ -2,14 +2,15 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and first-same-as-last reuse.  It advances a batch of states at
-once, sharing each right-hand-side call, while every state keeps its own
-steps and stops on its own; a single state is a batch of one.  After each
-accepted step it applies DOPRI5's stiffness test (Hairer & Wanner, Solving
-ODEs II, IV.2); a state that keeps failing it is held at the stability
-limit of the explicit pair rather than by its error control, and continues
-to the end with a damped second-order Runge-Kutta-Chebyshev method (RKC;
-Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998), whose real
-stability interval grows with the square of its stage count.  Runs stop
+once, the states on the same method and stage count sharing each
+right-hand-side call, while every state keeps its own steps and stops on
+its own; a single state is a batch of one.  After each accepted step it
+applies DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2); a
+state that keeps failing it is held at the stability limit of the explicit
+pair rather than by its error control, and continues to the end with a
+damped second-order Runge-Kutta-Chebyshev method (RKC; Sommeijer, Shampine
+& Verwer, J. Comput. Appl. Math. 88, 1998), whose real stability interval
+grows with the square of its stage count.  Runs stop
 early once the infinity norm of the right-hand side falls below
 ``steady_state_tol``, which is how steady patterns are detected.  Exact
 solutions of the model stay non-negative for non-negative data; the
@@ -307,10 +308,10 @@ def _dp5_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, cfg: Integrato
     return y_new, k[:, 6], _rms(h * (_DP_ERR @ k), scale), stage, k[:, 5]
 
 
-_RKC_TABLES: dict[int, tuple[float, np.ndarray]] = {}
+_RKC_TABLES: dict[int, tuple[float, tuple[tuple[float, ...], ...]]] = {}
 
 
-def _rkc_table(s: int) -> tuple[float, np.ndarray]:
+def _rkc_table(s: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
     """The s-stage damped RKC method: the weight mu~_1 of its first stage,
     Y_1 = y + h mu~_1 F(y), and the rows (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j,
     a_{j-1}) of the stages j = 2..s,
@@ -333,36 +334,22 @@ def _rkc_table(s: int) -> tuple[float, np.ndarray]:
         for j in range(2, s + 1):
             mu, nu = 2.0 * w0 * b[j] / b[j - 1], -b[j] / b[j - 2]
             rows.append((mu, nu, 1.0 - mu - nu, mu * w1 / w0, 1.0 - z[j - 1] * b[j - 1]))
-        _RKC_TABLES[s] = (w1 * b[1], np.array(rows))
+        _RKC_TABLES[s] = (w1 * b[1], tuple(rows))
     return _RKC_TABLES[s]
 
 
-def _rkc_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, stages: list[int], cfg: IntegratorConfig):
-    """One damped RKC step of each row of ``y`` (``f`` the field there, ``h`` a
-    column of step sizes) with the row's own stage count: the new states,
-    their derivatives and the error norms of rkc.f's estimate
-    0.8 (y - y_new) + 0.4 h (f + f_new), on the Dormand-Prince scale."""
-    counts = np.array(stages)
-    first = np.empty((len(y), 1))
-    coef = np.zeros((len(y), counts.max() - 1, 5))
-    for i, s in enumerate(stages):
-        first[i], coef[i, : s - 1] = _rkc_table(s)
-    y_new = np.empty_like(y)
-    rows, y0, f0, hs = np.arange(len(y)), y, f, h
+def _rkc_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, s: int, cfg: IntegratorConfig):
+    """One s-stage damped RKC step of each row of ``y`` (``f`` the field
+    there, ``h`` a column of step sizes): the new states, their derivatives
+    and the error norms of rkc.f's estimate 0.8 (y - y_new) + 0.4 h (f +
+    f_new), on the Dormand-Prince scale."""
+    first, rows = _rkc_table(s)
     prev2, prev = y, y + h * first * f
-    for j in range(2, counts.max() + 1):
-        going = counts[rows] >= j
-        if not going.all():
-            # rows whose last stage is done leave the working set
-            y_new[rows[~going]] = prev[~going]
-            rows, y0, f0, hs, coef, prev2, prev = (a[going] for a in (rows, y0, f0, hs, coef, prev2, prev))
-        mu, nu, rest, mus, a = coef[:, j - 2].T[:, :, None]
-        stage = mu * prev + nu * prev2 + rest * y0 + hs * mus * (_evaluate(field, prev) - a * f0)
-        prev2, prev = prev, stage
-    y_new[rows] = prev
-    f_new = _evaluate(field, y_new)
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    return y_new, f_new, _rms(0.8 * (y - y_new) + 0.4 * h * (f + f_new), scale)
+    for mu, nu, rest, mus, a in rows:
+        prev2, prev = prev, mu * prev + nu * prev2 + rest * y + h * mus * (_evaluate(field, prev) - a * f)
+    f_new = _evaluate(field, prev)
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(prev))
+    return prev, f_new, _rms(0.8 * (y - prev) + 0.4 * h * (f + f_new), scale)
 
 
 def _estimate_spectral_radius(field, members: list[_Member], y: np.ndarray, f: np.ndarray, small: float) -> None:
@@ -423,10 +410,11 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     its own step size, PI controller, accept/reject decisions, FSAL stage,
     stiffness count, clamps, stop test, samples and counters, and it leaves
     the batch when it stops on steady state (converged), ``t_max`` or
-    ``max_steps``.  The states share each field call, and each array
-    operation of the loop acts on every state's row on its own, so a state's
-    result is bit for bit the one it gets in a batch of one.  Returns one
-    SimulationResult per initial state, in order.
+    ``max_steps``.  The states on the same method, and for RKC the same
+    stage count, share each field call, and each array operation of the loop
+    acts on every state's row on its own, so a state's result is bit for bit
+    the one it gets in a batch of one.  Returns one SimulationResult per
+    initial state, in order.
 
     A state steps with Dormand-Prince until DOPRI5's stiffness test has
     flagged 15 of its accepted steps with no 6 unflagged ones in a row
@@ -527,8 +515,9 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         y_new, f_new, errs = np.empty_like(y), np.empty_like(y), np.empty(len(active))
         if dp:
             y_new[dp], f_new[dp], errs[dp], y6, f6 = _dp5_step(field, y[dp], f[dp], h[dp], cfg)
-        if rk:
-            y_new[rk], f_new[rk], errs[rk] = _rkc_step(field, y[rk], f[rk], h[rk], [active[j].stages for j in rk], cfg)
+        for s in sorted({active[j].stages for j in rk}):
+            group = [j for j in rk if active[j].stages == s]
+            y_new[group], f_new[group], errs[group] = _rkc_step(field, y[group], f[group], h[group], s, cfg)
         errs = errs.tolist()
 
         accept = []
@@ -544,10 +533,7 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                     m.h *= _MIN_FACTOR if not isfinite(err) else 0.8 * err ** (-1 / 3)
                     if m.rho_age:  # else rho was estimated at this very state
                         m.rho = None
-        if all(accept):
-            y = y_new
-        else:
-            y[accept] = y_new[accept]
+        y[accept] = y_new[accept]
 
         # exact solutions stay non-negative: clamp shallow undershoots to 0
         # and re-evaluate those states, flag deeper ones
@@ -615,10 +601,7 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                 m.rho_age += 1
                 if m.rho_age == _RKC_RHO_EVERY:
                     m.rho = None
-        if all(accept):
-            f = f_new
-        else:
-            f[accept] = f_new[accept]
+        f[accept] = f_new[accept]
 
     error = _first_error(members)
     if error is not None:

@@ -16,7 +16,7 @@ class ConfigError(CrossnetError):
 
 
 class GenerationError(CrossnetError):
-    """Graph generation failed (invalid parameters or retry exhaustion)."""
+    """Graph generation ran out of retries."""
 
 
 class NonCoexistenceError(CrossnetError):

@@ -171,6 +171,21 @@ class GraphSpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if lattice and (self.rows < 2 or self.cols < 2):
             raise ValueError(f"lattice requires rows >= 2 and cols >= 2, got {self.rows}x{self.cols}")
+        n, k = self.n, self.k
+        if self.family in ("ring", "watts-strogatz"):
+            _check_ring(self.family, n, k)
+        elif self.family == "path" and n < 2:
+            raise ValueError(f"path requires n >= 2, got n={n}")
+        elif self.family == "regular-random" and not (k < n and n * k % 2 == 0):
+            raise ValueError(f"regular-random requires 0 < k < n and n*k even, got n={n}, k={k}")
+        elif self.family == "barabasi-albert" and k > n - 1:
+            raise ValueError(f"barabasi-albert requires 1 <= k <= n-1, got n={n}, k={k}")
+
+
+def _check_ring(family: str, n: int, k: int) -> None:
+    """ValueError unless ``n`` nodes can each take ``k`` ring neighbors per side (see gen_ring)."""
+    if n < 3 or not 1 <= k <= (n - 1) // 2:
+        raise ValueError(f"{family} requires n >= 3 and 1 <= k <= (n-1)//2, got n={n}, k={k}")
 
 
 def gen_ring(n: int, k: int) -> Graph:
@@ -180,10 +195,7 @@ def gen_ring(n: int, k: int) -> Graph:
     ``n >= 3`` and ``1 <= k <= (n - 1) // 2`` so that no wrap-around edge is
     counted twice.
     """
-    if n < 3:
-        raise ValueError(f"ring requires n >= 3, got {n}")
-    if not 1 <= k <= (n - 1) // 2:
-        raise ValueError(f"ring requires 1 <= k <= (n-1)//2 = {(n - 1) // 2}, got k={k}")
+    _check_ring("ring", n, k)
     i = np.repeat(np.arange(n), k)
     j = (i + np.tile(np.arange(1, k + 1), n)) % n
     return Graph(n, np.column_stack((i, j)))
@@ -248,8 +260,6 @@ def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # classic single-pass rewiring over the base ring, by node then by offset;
     # the far endpoint moves to a uniform non-self, non-duplicate target
-    if n < 3 or not 1 <= k <= (n - 1) // 2:
-        raise GenerationError(f"watts-strogatz requires n >= 3 and 1 <= k <= (n-1)//2, got n={n}, k={k}")
     edges = {_norm(i, (i + off) % n) for i in range(n) for off in range(1, k + 1)}
     degree = [2 * k] * n
     for u in range(n):
@@ -274,10 +284,6 @@ def _regular_random(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     # stub-pairing with rejection: shuffle the stub multiset, pair consecutive
     # stubs, recycle the pairs that would form loops or duplicates; restart
     # from scratch whenever the leftover stubs cannot form any legal edge
-    if not 0 < k < n:
-        raise GenerationError(f"regular-random requires 0 < k < n, got n={n}, k={k}")
-    if (n * k) % 2:
-        raise GenerationError(f"regular-random requires n*k even, got n={n}, k={k}")
     for _ in range(200):
         edges: set[tuple[int, int]] = set()
         stubs = np.repeat(np.arange(n), k)
@@ -314,8 +320,6 @@ def _barabasi_albert(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     # seed with a star on k+1 nodes, then attach each new node to k distinct
     # targets drawn degree-proportionally (repeated-node list, duplicates
     # rejected, i.e. sampling without replacement)
-    if not 1 <= k <= n - 1:
-        raise GenerationError(f"barabasi-albert requires 1 <= k <= n-1, got n={n}, k={k}")
     edges = {(0, leaf) for leaf in range(1, k + 1)}
     repeated = [0] * k + list(range(1, k + 1))
     for new in range(k + 1, n):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolverError
-from .graphs import GraphSpec, build_graph, build_laplacian, ensemble_specs
+from .graphs import GraphSpec, _check_ring, build_graph, build_laplacian, ensemble_specs
 from .textio import fmt_float
 
 __all__ = [
@@ -61,8 +61,7 @@ def ring_spectrum_closed_form(n: int, k: int) -> np.ndarray:
     graph, so mode ``j`` (0-based) has eigenvalue
     ``2k - sum_{m=1..k} 2 cos(2 pi m j / n)``.
     """
-    if n < 3 or not 1 <= k <= (n - 1) // 2:
-        raise ValueError(f"ring requires n >= 3 and 1 <= k <= (n-1)//2, got n={n}, k={k}")
+    _check_ring("ring", n, k)
     j = np.arange(n)
     m = np.arange(1, k + 1)
     vals = 2.0 * k - 2.0 * np.cos(2.0 * np.pi * np.outer(m, j) / n).sum(axis=0)

@@ -1,7 +1,10 @@
-"""End-to-end CLI behavior through main(); no subprocesses needed."""
+"""End-to-end CLI behavior through main(), and in a subprocess where the
+process's own standard streams are under test."""
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +261,33 @@ def test_mistyped_setting_is_a_config_error_naming_its_key(capsys, tmp_path, com
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("graph", "gen", "--set", "graph.k=60"),
+    ("graph", "gen", "--set", "graph.family=path", "--set", "graph.n=1", "--set", "graph.k=null"),
+    ("graph", "gen", "--set", "graph.family=regular-random", "--set", "graph.n=5", "--set", "graph.k=3"),
+    ("graph", "gen", "--set", "graph.family=watts-strogatz", "--set", "graph.n=10", "--set", "graph.k=5",
+     "--set", "graph.p=0.1"),
+    ("spectrum", "--set", "graph.family=barabasi-albert", "--set", "graph.n=5", "--set", "graph.k=5"),
+])
+def test_family_parameters_that_make_no_graph_are_a_config_error(capsys, tmp_path, args):
+    out_dir = tmp_path / "graph"
+    code, out = run_cli(capsys, *args, "--output-dir", str(out_dir))
+    assert code == 2, out
+    assert json.loads(out)["error"] == "config"
+    assert "requires" in json.loads(out)["message"]
+    assert not out_dir.exists()
+
+
+def test_a_swept_value_that_makes_no_graph_is_a_config_error_naming_its_index(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "ensemble", "--output-dir", str(tmp_path / "sweep"),
+        "--set", "graph.family=watts-strogatz", "--set", "graph.k=3", "--set", "graph.p=0.1",
+        "--set", "experiment.sweep_param=n", "--set", "experiment.sweep_values=[20,6]",
+    )
+    assert code == 2, out
+    assert json.loads(out)["message"].startswith("sweep_values[1] must be a valid n: watts-strogatz requires")
+
+
 def test_seed_files_do_not_depend_on_the_other_seeds_of_the_command(capsys, tmp_path):
     # the seeds of one command are integrated as one batch
     args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20"]
@@ -291,6 +321,25 @@ def test_exit_code_4_on_io_error(capsys):
     code, out = run_cli(capsys, "graph", "gen", "--output-dir", "/proc/definitely/not/writable")
     assert code == 4
     assert json.loads(out)["error"] == "io"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_4_without_a_traceback(tmp_path, unbuffered):
+    # the reader of stdout is gone before the command prints its summary;
+    # buffered, the summary would first fail in the flush at exit
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossnet.cli", "stability", "--output-dir", str(tmp_path / "s")],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert {p.name for p in (tmp_path / "s").iterdir()} == {"report.json", "spectrum.csv", "manifest.json"}
 
 
 def test_exit_code_4_on_missing_config_file(capsys, tmp_path):

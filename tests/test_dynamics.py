@@ -31,6 +31,7 @@ from crossnet import (
     rhs,
     simulate_skt,
 )
+from crossnet import dynamics
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.graphs import GraphSpec
 from crossnet.textio import fmt_float
@@ -129,20 +130,20 @@ def test_stiff_diffusion_hands_over_to_rkc_and_matches_matrix_exponential():
     assert tight < loose / 100
 
 
-@pytest.mark.parametrize("stages", [[2], [3], [7], [20], [2, 5, 3], [11, 4, 11]])
-def test_rkc_step_is_second_order_and_stable_on_its_interval(stages):
+@pytest.mark.parametrize("s", [2, 3, 5, 7, 11, 20], ids=[f"stages{i}" for i in range(6)])
+def test_rkc_step_is_second_order_and_stable_on_its_interval(s):
     # on y' = z*y a step of size 1 multiplies y by the method's stability
     # polynomial R_s(z); the stage count rule s = 1 + floor(sqrt(1 + 1.54*h*rho))
     # picks s for h*rho < (s^2 - 1)/1.54, where |R_s| must stay <= 1
     from crossnet.dynamics import _rkc_step
 
     small = -np.logspace(-4, -1, 8)
-    z = np.concatenate((small, -np.linspace(0.0, (max(stages) ** 2 - 1) / 1.54, 2000)))
+    z = np.concatenate((small, -np.linspace(0.0, (s * s - 1) / 1.54, 2000)))
     field = lambda y: y * z.reshape(2, -1)  # noqa: E731
-    y = np.ones((len(stages), z.size))
-    growth, f_new, _ = _rkc_step(field, y, y * z, np.ones((len(stages), 1)), stages, IntegratorConfig())
+    y = np.ones((2, z.size))
+    growth, f_new, _ = _rkc_step(field, y, y * z, np.ones((2, 1)), s, IntegratorConfig())
     assert np.array_equal(f_new, growth * z)
-    for s, row in zip(stages, growth):
+    for row in growth:
         assert np.abs(row[z >= -(s * s - 1) / 1.54]).max() <= 1.0
         # second order: the local error is O(z^3)
         assert np.all(np.abs(row[:8] - np.exp(small)) <= 0.2 * np.abs(small) ** 3 + 1e-15)
@@ -560,6 +561,35 @@ def test_batch_with_mixed_fates_matches_solo_runs():
     assert clamping.reason == "t_max" and clamping.positivity_clamps >= 1 and not clamping.positivity_violated
     assert fast.reason == "max_steps" and fast.steps_rejected == 0
     assert stiff.reason == "max_steps" and stiff.steps_rejected >= 1
+
+
+def test_batch_of_rkc_members_on_different_stage_counts_equals_their_solo_runs(monkeypatch):
+    # u relaxes towards 1 at the rate v, so each state turns stiff, and the
+    # stiffer it is, the more stages its RKC steps take
+    def relax(y):
+        u, v = y[:, 0], y[:, 1]
+        return np.stack((-v * (u - 1.0), np.zeros_like(v)), axis=1)
+
+    cfg = IntegratorConfig(t_max=5.0)
+    inits = [np.array(([1.5, 0.5, 1.0], [rate] * 3)) for rate in (50.0, 400.0, 3000.0)]
+    solo = [integrate_batch(relax, [init], cfg)[0] for init in inits]
+    assert all(r.t_stiff is not None for r in solo)
+
+    calls = []  # the states of each RKC step call, named by their rounded v
+    rkc_step = dynamics._rkc_step
+
+    def recording(field, y, f, h, s, cfg):
+        calls.append(set(np.rint(y[:, -1]).tolist()))
+        return rkc_step(field, y, f, h, s, cfg)
+
+    monkeypatch.setattr(dynamics, "_rkc_step", recording)
+    for res, alone in zip(integrate_batch(relax, inits, cfg), solo):
+        _assert_same_result(res, alone)
+    # stepping all RKC states in one call per pass of the loop would put a
+    # state in every call from its first RKC step to its last; a state
+    # missing from a call in between was left to another stage count's call
+    spans = [[i for i, states in enumerate(calls) if rate in states] for rate in (50.0, 400.0, 3000.0)]
+    assert any(len(span) < span[-1] - span[0] + 1 for span in spans)
 
 
 def test_batch_raises_the_error_of_the_first_failing_member():

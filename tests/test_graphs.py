@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from crossnet import (
     BlockLaplacian,
-    GenerationError,
     Graph,
     GraphSpec,
     build_graph,
@@ -187,6 +186,22 @@ def test_spec_requires_family_fields():
         GraphSpec(family="erdos-renyi", n=10, p=1.5)
 
 
+@pytest.mark.parametrize("family, legal, illegal", [
+    ("ring", dict(n=7, k=3), dict(n=6, k=3)),
+    ("ring", dict(n=3, k=1), dict(n=2, k=1)),
+    ("watts-strogatz", dict(n=7, k=3, p=0.1), dict(n=7, k=4, p=0.1)),
+    ("path", dict(n=2), dict(n=1)),
+    ("regular-random", dict(n=4, k=3), dict(n=4, k=4)),
+    ("regular-random", dict(n=6, k=3), dict(n=5, k=3)),
+    ("barabasi-albert", dict(n=5, k=4), dict(n=5, k=5)),
+])
+def test_spec_rejects_family_parameters_that_make_no_graph(family, legal, illegal):
+    # each legal spec sits on the boundary of its family's rule
+    build_graph(GraphSpec(family=family, **legal))
+    with pytest.raises(ValueError, match=f"{family} requires"):
+        GraphSpec(family=family, **illegal)
+
+
 def test_build_graph_dispatch():
     assert build_graph(GraphSpec(family="ring", n=8, k=2)).n_edges == 16
     assert build_graph(GraphSpec(family="path", n=8)).n_edges == 7
@@ -221,8 +236,8 @@ def test_regular_random_degrees():
 
 
 def test_regular_random_odd_product_raises():
-    with pytest.raises(GenerationError, match="even"):
-        build_graph(GraphSpec(family="regular-random", n=5, k=3, seed=0))
+    with pytest.raises(ValueError, match="even"):
+        GraphSpec(family="regular-random", n=5, k=3, seed=0)
 
 
 def test_barabasi_albert_edge_count():
