@@ -38,24 +38,34 @@ def main() -> None:
     args = ap.parse_args()
 
     families = [args.family] if args.family else sorted(_SWEEPS)
+    # check every family's sweep before any runs, so that a bad size writes nothing
+    specs = {}
     for family in families:
         swept, values, base = _SWEEPS[family]
         if args.values is not None:
             values = tuple(int(v) if swept == "k" else v for v in args.values)
-        spec = SweepSpec(
-            base=dataclasses.replace(base, n=args.n),
-            swept=swept,
-            values=values,
-            skt=DEFAULT_SKT_PARAMS,
-            realizations=args.realizations,
-            master_seed=args.master_seed,
-        )
+        try:
+            spec = SweepSpec(
+                base=dataclasses.replace(base, n=args.n),
+                swept=swept,
+                values=values,
+                skt=DEFAULT_SKT_PARAMS,
+                realizations=args.realizations,
+                master_seed=args.master_seed,
+            )
+            for value in spec.values:
+                spec.spec_at(value)
+        except ValueError as exc:
+            ap.error(str(exc))
+        specs[family] = spec
+
+    for family, spec in specs.items():
         rows = ensemble_report(spec, threads=args.threads)
         out_dir = os.path.join(args.out, family)
         write_ensemble_report(spec, rows, out_dir)
 
         print(f"\n{family}  (n={args.n}, {args.realizations} realizations)")
-        print(f"{swept:>8}  {'unstable fraction':>18}  {'mean-spectrum modes':>20}")
+        print(f"{spec.swept:>8}  {'unstable fraction':>18}  {'mean-spectrum modes':>20}")
         for row in rows:
             print(f"{row.value:>8}  {row.instability_fraction:>18.3f}  {row.mean_spectrum_unstable_count:>20}")
         print(f"wrote {out_dir}/ensemble.csv and {out_dir}/summary.csv")

@@ -203,7 +203,9 @@ class _SampleBuffer:
                 self._next_time = (np.floor(t / self.sample_dt) + 1.0) * self.sample_dt
             else:
                 self._count += 1
-                if (self._count - 1) % self._stride:
+                # keep accepted step k when the stride divides k (the start is
+                # step 0), the steps that halving by [::2] keeps
+                if self._count % self._stride:
                     return
         self.times.append(t)
         self.states.append(y.copy())
@@ -218,7 +220,6 @@ class _Member:
 
     def __init__(self, y0: np.ndarray, cfg: IntegratorConfig):
         self.t = 0.0
-        self.t_end = cfg.t_max
         self.h = 0.0
         self.err_prev = 1e-4
         self.buffer = _SampleBuffer(cfg.sample_dt, self.t, y0)
@@ -479,12 +480,12 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         for j, m in enumerate(active):
             if m.done:
                 continue
-            if m.t >= m.t_end:
+            if m.t >= cfg.t_max:
                 m.finish(y[j], "t_max")
             elif m.accepted + m.rejected >= cfg.max_steps:
                 m.finish(y[j], "max_steps")
             else:
-                m.h = min(m.h, m.t_end - m.t)
+                m.h = min(m.h, cfg.t_max - m.t)
                 if m.h < 1e-14 * max(1.0, abs(m.t)):
                     m.error = IntegrationError("step size underflow", m.t)
                 else:

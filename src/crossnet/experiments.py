@@ -31,7 +31,6 @@ from .stability import (
     SktParams,
     classify_modes,
     equilibrium,
-    instability_region,
     report_to_dict,
     stability_report,
 )
@@ -102,7 +101,7 @@ def ring_sweep(spec: SweepSpec) -> list[RingSweepRow]:
     """Closed-form ring spectra against the fixed instability window."""
     if spec.base.family != "ring":
         raise ValueError(f"ring_sweep needs a ring base spec, got {spec.base.family!r}")
-    report = instability_region(spec.skt)
+    report = stability_report(spec.skt)
     rows = []
     for value in spec.values:
         gspec = spec.spec_at(value)
@@ -139,7 +138,7 @@ def lattice_comparison(
     skt: SktParams = DEFAULT_SKT_PARAMS,
 ) -> dict[str, LatticeResult]:
     """Spectrum and unstable-mode count for each lattice kind at given dims."""
-    report = instability_region(skt)
+    report = stability_report(skt)
     out: dict[str, LatticeResult] = {}
     for kind, (rows, cols) in dims.items():
         g = build_graph(GraphSpec(family=f"{kind}-lattice", rows=rows, cols=cols))
@@ -170,7 +169,7 @@ def ensemble_report(spec: SweepSpec, threads: int | None = None) -> list[Ensembl
     Realization ``i`` of swept value index ``j`` uses the seed derived from
     (master_seed, j, i); results do not depend on ``threads``.
     """
-    report = instability_region(spec.skt)
+    report = stability_report(spec.skt)
     rows = []
     for j, value in enumerate(spec.values):
         gspec = spec.spec_at(value)

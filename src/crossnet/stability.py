@@ -33,11 +33,7 @@ __all__ = [
     "Equilibrium",
     "InstabilityReport",
     "coexistence_equilibrium",
-    "jacobian_at_equilibrium",
-    "diffusion_linearization",
     "equilibrium",
-    "det_polynomials",
-    "instability_region",
     "classify_modes",
     "stability_report",
     "report_to_dict",
@@ -45,6 +41,7 @@ __all__ = [
 ]
 
 _SCAN_STEP = 1e-3
+_BOUNDARY_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -106,33 +103,16 @@ def coexistence_equilibrium(p: SktParams) -> tuple[float, float]:
     return u, v
 
 
-def jacobian_at_equilibrium(p: SktParams, eq: tuple[float, float]) -> np.ndarray:
-    """Reaction Jacobian at the coexistence state.
+@dataclass(frozen=True)
+class Equilibrium:
+    """Coexistence state together with both 2x2 linearizations.
 
-    On the coexistence ray the growth terms cancel, leaving
-    ``[[-a1*u, -b1*u], [-b2*v, -a2*v]]``.
-    """
-    u, v = eq
-    return np.array([[-p.a1 * u, -p.b1 * u], [-p.b2 * v, -p.a2 * v]])
-
-
-def diffusion_linearization(p: SktParams, state: tuple[float, float]) -> np.ndarray:
-    """Linearized transport matrix at ``state``: the derivative of the fluxes
+    ``j_star`` is the reaction Jacobian; on the coexistence ray the growth
+    terms cancel, leaving ``[[-a1*u, -b1*u], [-b2*v, -a2*v]]``.  ``d_star``
+    is the linearized transport: the derivative of the fluxes
     ``d*u + d11*u^2 + d12*u*v`` and ``d*v + d22*v^2 + d21*u*v`` with respect
     to (u, v).
     """
-    u, v = state
-    return np.array(
-        [
-            [p.d + 2.0 * p.d11 * u + p.d12 * v, p.d12 * u],
-            [p.d21 * v, p.d + 2.0 * p.d22 * v + p.d21 * u],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """Coexistence state together with both 2x2 linearizations."""
 
     u_star: float
     v_star: float
@@ -143,12 +123,17 @@ class Equilibrium:
 
 
 def equilibrium(p: SktParams) -> Equilibrium:
-    uv = coexistence_equilibrium(p)
-    j = jacobian_at_equilibrium(p, uv)
-    d = diffusion_linearization(p, uv)
+    u, v = coexistence_equilibrium(p)
+    j = np.array([[-p.a1 * u, -p.b1 * u], [-p.b2 * v, -p.a2 * v]])
+    d = np.array(
+        [
+            [p.d + 2.0 * p.d11 * u + p.d12 * v, p.d12 * u],
+            [p.d21 * v, p.d + 2.0 * p.d22 * v + p.d21 * u],
+        ]
+    )
     return Equilibrium(
-        u_star=uv[0],
-        v_star=uv[1],
+        u_star=u,
+        v_star=v,
         j_star=j,
         d_star=d,
         trace_j=float(j[0, 0] + j[1, 1]),
@@ -215,16 +200,54 @@ class InstabilityReport:
         return qa * lam * lam + qb * lam + qc
 
 
-def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityReport:
-    """Both expansions of the characteristic determinant.
+def det_sign_scan(
+    j_star: np.ndarray,
+    d_star: np.ndarray,
+    lam_max: float,
+    lam_min: float = 0.0,
+) -> list[tuple[float, float]]:
+    """Brackets where det(J - lam*D) changes sign on a uniform grid (step 1e-3).
+
+    Direct 2x2 determinant evaluation, independent of the polynomial
+    expansions; used to cross-check the closed-form roots.
+    """
+    grid = np.arange(lam_min, lam_max + _SCAN_STEP, _SCAN_STEP)
+    m11 = j_star[0, 0] - grid * d_star[0, 0]
+    m12 = j_star[0, 1] - grid * d_star[0, 1]
+    m21 = j_star[1, 0] - grid * d_star[1, 0]
+    m22 = j_star[1, 1] - grid * d_star[1, 1]
+    dets = m11 * m22 - m12 * m21
+    signs = np.sign(dets)
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
+
+
+def classify_modes(eigenvalues: np.ndarray, report: InstabilityReport) -> tuple[int, ...]:
+    """Indices of eigenvalues strictly inside the unstable window.
+
+    Eigenvalues within 1e-9 of either endpoint count as stable.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
+    if report.region is None:
+        return ()
+    lo, hi = report.region
+    inside = (vals > lo + _BOUNDARY_TOL) & (vals < hi - _BOUNDARY_TOL)
+    return tuple(int(i) for i in np.nonzero(inside)[0])
+
+
+def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> InstabilityReport:
+    """Both expansions of the characteristic determinant and the unstable window.
 
     Requires weak competition (otherwise the uniform mode itself is
-    already unstable and the mode window is meaningless).
+    already unstable and the mode window is meaningless).  The closed-form
+    roots of the determinant quadratic are cross-checked against a direct
+    determinant sign scan around each root; disagreement raises
+    StabilityError.  When eigenvalues are given the unstable modes are
+    attached.
     """
+    eq = equilibrium(p)
     if not p.weak_competition:
         raise StabilityError("instability analysis requires weak competition: a1*a2 > b1*b2")
-    if eq is None:
-        eq = equilibrium(p)
     u, v = eq.u_star, eq.v_star
     alpha = v * (p.b2 * u - p.a2 * v)
     beta = u * (p.b1 * v - p.a1 * u)
@@ -255,7 +278,21 @@ def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityR
         # unbounded above
         region = (float(qc / -qb), math.inf)
 
-    return InstabilityReport(
+    # roots closer than the scan resolution cannot be bracketed separately
+    if region is not None and region[1] - region[0] > 4.0 * _SCAN_STEP:
+        for root in region:
+            if not math.isfinite(root):
+                continue
+            brackets = det_sign_scan(
+                eq.j_star, eq.d_star, root + 2.0 * _SCAN_STEP,
+                lam_min=max(0.0, root - 2.0 * _SCAN_STEP),
+            )
+            if not any(b[0] - _SCAN_STEP <= root <= b[1] + _SCAN_STEP for b in brackets):
+                raise StabilityError(
+                    f"determinant sign scan does not bracket the computed root {root:.6g}"
+                )
+
+    report = InstabilityReport(
         params=p,
         u_star=u,
         v_star=v,
@@ -268,78 +305,6 @@ def det_polynomials(p: SktParams, eq: Equilibrium | None = None) -> InstabilityR
         lambda_star=lambda_star,
         region=region,
     )
-
-
-def det_sign_scan(
-    j_star: np.ndarray,
-    d_star: np.ndarray,
-    lam_max: float,
-    step: float = _SCAN_STEP,
-    lam_min: float = 0.0,
-) -> list[tuple[float, float]]:
-    """Brackets where det(J - lam*D) changes sign on a uniform grid.
-
-    Direct 2x2 determinant evaluation, independent of the polynomial
-    expansions; used to cross-check the closed-form roots.
-    """
-    grid = np.arange(lam_min, lam_max + step, step)
-    m11 = j_star[0, 0] - grid * d_star[0, 0]
-    m12 = j_star[0, 1] - grid * d_star[0, 1]
-    m21 = j_star[1, 0] - grid * d_star[1, 0]
-    m22 = j_star[1, 1] - grid * d_star[1, 1]
-    dets = m11 * m22 - m12 * m21
-    signs = np.sign(dets)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
-
-
-def instability_region(p: SktParams) -> InstabilityReport:
-    """Mode-eigenvalue window with negative characteristic determinant.
-
-    The closed-form roots of the determinant quadratic are cross-checked
-    against a direct determinant sign scan around each root (grid step
-    1e-3); disagreement raises StabilityError.
-    """
-    eq = equilibrium(p)
-    report = det_polynomials(p, eq)
-    if report.region is not None:
-        lo, hi = report.region
-        # roots closer than the scan resolution cannot be bracketed separately
-        if hi - lo > 4.0 * _SCAN_STEP:
-            for root in (lo, hi):
-                if not math.isfinite(root):
-                    continue
-                brackets = det_sign_scan(
-                    eq.j_star, eq.d_star, root + 2.0 * _SCAN_STEP,
-                    lam_min=max(0.0, root - 2.0 * _SCAN_STEP),
-                )
-                if not any(b[0] - _SCAN_STEP <= root <= b[1] + _SCAN_STEP for b in brackets):
-                    raise StabilityError(
-                        f"determinant sign scan does not bracket the computed root {root:.6g}"
-                    )
-    return report
-
-
-def classify_modes(
-    eigenvalues: np.ndarray,
-    report: InstabilityReport,
-    boundary_tol: float = 1e-9,
-) -> tuple[int, ...]:
-    """Indices of eigenvalues strictly inside the unstable window.
-
-    Eigenvalues within ``boundary_tol`` of either endpoint count as stable.
-    """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if report.region is None:
-        return ()
-    lo, hi = report.region
-    inside = (vals > lo + boundary_tol) & (vals < hi - boundary_tol)
-    return tuple(int(i) for i in np.nonzero(inside)[0])
-
-
-def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> InstabilityReport:
-    """Full analysis; when eigenvalues are given the unstable modes are attached."""
-    report = instability_region(p)
     if eigenvalues is not None:
         report = replace(report, unstable_modes=classify_modes(eigenvalues, report))
     return report

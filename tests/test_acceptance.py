@@ -24,13 +24,11 @@ from crossnet import (
     SweepSpec,
     build_graph,
     build_laplacian,
-    det_polynomials,
     det_sign_scan,
     discretize_skt_1d,
     eig_symmetric,
     ensemble_report,
     equilibrium,
-    instability_region,
     lattice_comparison,
     path_spectrum_closed_form,
     pattern_metrics,
@@ -39,6 +37,7 @@ from crossnet import (
     ring_spectrum_closed_form,
     ring_sweep,
     simulate_skt,
+    stability_report,
     stencil_rhs,
 )
 from crossnet.rng import rng_from
@@ -111,7 +110,7 @@ def test_criterion_03_determinant_expansions_vs_direct():
     for _ in range(1000):
         p = _random_coexistence_params(rng)
         eq = equilibrium(p)
-        rep = det_polynomials(p, eq)
+        rep = stability_report(p)
         lam = float(rng.uniform(0.0, 20.0))
         m = eq.j_star - lam * eq.d_star
         direct = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -133,14 +132,14 @@ def test_criterion_04_benchmark_pipeline_and_grid_scan():
     t0 = time.perf_counter()
     p = DEFAULT_SKT_PARAMS
     eq = equilibrium(p)
-    rep = instability_region(p)
+    rep = stability_report(p)
     assert abs(eq.u_star - 1.625) <= 1e-12
     assert abs(eq.v_star - 0.125) <= 1e-12
     assert abs(eq.trace_j + 5.25) <= 1e-12
     assert abs(eq.det_j - 1.625) <= 1e-12
 
     lo, hi = rep.region
-    brackets = det_sign_scan(eq.j_star, eq.d_star, lam_max=25.0, step=1e-3)
+    brackets = det_sign_scan(eq.j_star, eq.d_star, lam_max=25.0)
     assert len(brackets) == 2
     scan_lo = 0.5 * (brackets[0][0] + brackets[0][1])
     scan_hi = 0.5 * (brackets[1][0] + brackets[1][1])
@@ -148,7 +147,7 @@ def test_criterion_04_benchmark_pipeline_and_grid_scan():
     # the onset threshold is the root of the zero-linear-diffusion determinant
     p0 = dataclasses.replace(p, d=0.0)
     eq0 = equilibrium(p0)
-    brackets0 = det_sign_scan(eq0.j_star, eq0.d_star, lam_max=10.0, step=1e-3)
+    brackets0 = det_sign_scan(eq0.j_star, eq0.d_star, lam_max=10.0)
     assert len(brackets0) == 1
     scan_star = 0.5 * (brackets0[0][0] + brackets0[0][1])
 

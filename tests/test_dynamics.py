@@ -106,14 +106,13 @@ def test_homogeneous_equilibrium_converges_immediately():
     assert res.steps_accepted == 0
 
 
-def _stiff_diffusion(rel_tol: float):
+def _stiff_diffusion(rel_tol: float, t_end: float = 5.0):
     """Pure diffusion on a ring whose fast modes make DP5 hand over to RKC,
     and its exact final state."""
     lap = build_laplacian(gen_ring(50, 5))
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=5.0)
     rng = np.random.default_rng(3)
     init = rng.uniform(0.5, 2.0, (2, 50))
-    t_end = 5.0
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_max=t_end, steady_state_tol=1e-30)
     res = simulate_skt(p, lap, [init], cfg)[0]
     vals, vecs = np.linalg.eigh(lap)
@@ -128,6 +127,23 @@ def test_stiff_diffusion_hands_over_to_rkc_and_matches_matrix_exponential():
     assert res.final.sum(axis=1) == pytest.approx(res.traj[0].sum(axis=1), rel=1e-12)
     loose, tight = (np.abs(r.final - e).max() for r, e in (_stiff_diffusion(1e-6), _stiff_diffusion(1e-10)))
     assert tight < loose / 100
+
+
+def test_rkc_stage_count_is_capped_as_in_rkc_f(monkeypatch):
+    # at rel_tol 1e-12 rkc.f allows at most round(sqrt(rel_tol / (10 * uround))) = 21
+    # stages; long steps on the slow modes of the stiff ring would take more
+    stages = []
+    rkc_step = dynamics._rkc_step
+
+    def recording(field, y, f, h, s, cfg):
+        stages.append(s)
+        return rkc_step(field, y, f, h, s, cfg)
+
+    monkeypatch.setattr(dynamics, "_rkc_step", recording)
+    res, exact = _stiff_diffusion(1e-12, t_end=200.0)
+    assert res.reason == "t_max" and res.t_stiff is not None
+    assert max(stages) == 21
+    assert np.allclose(res.final, exact, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 7, 11, 20], ids=[f"stages{i}" for i in range(6)])
@@ -456,13 +472,31 @@ def test_sampling_honors_sample_dt():
     assert res.traj.shape == (res.times.size, 2, 10)
 
 
-def test_trajectory_buffer_is_bounded():
-    g = gen_ring(10, 2)
-    lap = build_laplacian(g)
-    eq = equilibrium(P)
-    init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=300.0, steady_state_tol=1e-30))[0]
+def test_trajectory_buffer_is_bounded(monkeypatch):
+    # a rotation about (2, 2) never settles, so the run takes more accepted
+    # steps than the buffer holds and the buffer halves its samples
+    def rotation(y):
+        u, v = y[:, 0], y[:, 1]
+        return np.stack((2.0 - v, u - 2.0), axis=1)
+
+    accepted = [0.0]  # the start, then the time of every accepted step
+    record = dynamics._SampleBuffer.record
+
+    def recording(self, t, y, force=False):
+        if not force:
+            accepted.append(t)
+        record(self, t, y, force)
+
+    monkeypatch.setattr(dynamics._SampleBuffer, "record", recording)
+    res = integrate_batch(rotation, [np.array([[3.0], [2.0]])], IntegratorConfig(t_max=500.0, steady_state_tol=0.0))[0]
+    assert res.steps_accepted > 4096 and len(accepted) == res.steps_accepted + 1
     assert res.times.size <= 4096
+    stride = accepted.index(res.times[1])
+    assert stride >= 2 and stride & (stride - 1) == 0
+    # every stride-th accepted step, then the final state as its own sample
+    assert res.steps_accepted % stride != 0
+    assert res.times.tolist() == accepted[::stride] + [res.t_final]
+    assert res.times[-1] == res.t_final
 
 
 def test_positivity_check_and_flag():

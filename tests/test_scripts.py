@@ -32,10 +32,26 @@ def test_script_writes_the_files_it_names(tmp_path, name, args):
         assert Path(path).is_file() and Path(path).stat().st_size > 0, path
 
 
-def test_pattern_simulations_rejects_too_small_n(tmp_path):
-    proc = run_script(tmp_path, "pattern_simulations.py", "--n", "30", "--t-max", "5")
+@pytest.mark.parametrize("name, args, reason", [
+    ("pattern_simulations.py", ("--n", "30", "--t-max", "5"), "at least 41"),
+    # the default regular-random sweep needs k = 40 < n
+    ("random_graph_ensembles.py", ("--n", "20", "--realizations", "3"), "regular-random requires"),
+], ids=["pattern_simulations", "random_graph_ensembles"])
+def test_script_rejects_too_small_n(tmp_path, name, args, reason):
+    proc = run_script(tmp_path, name, *args)
     assert proc.returncode == 2
-    assert "at least 41" in proc.stderr
+    assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pattern_simulations_writes_every_case(tmp_path):
+    proc = run_script(tmp_path, "pattern_simulations.py", "--n", "41", "--seeds", "0", "--t-max", "5")
+    assert proc.returncode == 0, proc.stderr
+    cases = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert cases == ["ring_k10", "ring_k15", "ring_k20", "smallworld_p0.01", "smallworld_p0.05"]
+    for case in cases:
+        for name in ("report.json", "trajectory.csv", "final_state.csv"):
+            path = tmp_path / "out" / case / name
+            assert path.is_file() and path.stat().st_size > 0, path

@@ -20,11 +20,8 @@ from crossnet import (
     StabilityError,
     classify_modes,
     coexistence_equilibrium,
-    det_polynomials,
     det_sign_scan,
     equilibrium,
-    instability_region,
-    jacobian_at_equilibrium,
     report_to_dict,
     ring_spectrum_closed_form,
     stability_report,
@@ -121,7 +118,7 @@ def test_jacobian_stable_under_weak_competition():
 
 
 def test_benchmark_report_constants():
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     assert rep.alpha == ALPHA
     assert rep.beta == BETA
     assert rep.cross_gain == CROSS_GAIN
@@ -133,7 +130,7 @@ def test_benchmark_report_constants():
 
 
 def test_benchmark_window_endpoints():
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     lo, hi = rep.region
     assert lo == pytest.approx(LAMBDA_1, rel=1e-13)
     assert hi == pytest.approx(LAMBDA_2, rel=1e-13)
@@ -142,7 +139,7 @@ def test_benchmark_window_endpoints():
 
 def test_det_negative_strictly_inside_window_only():
     eq = equilibrium(P)
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     lo, hi = rep.region
     for lam, expect_sign in [(lo - 0.5, 1), (lo + 0.5, -1), (0.5 * (lo + hi), -1), (hi - 0.5, -1), (hi + 0.5, 1)]:
         det = np.linalg.det(eq.j_star - lam * eq.d_star)
@@ -172,28 +169,28 @@ def test_trace_stays_negative_across_modes():
 
 def test_sign_scan_brackets_the_endpoints():
     eq = equilibrium(P)
-    brackets = det_sign_scan(eq.j_star, eq.d_star, lam_max=40.0, step=1e-3)
+    brackets = det_sign_scan(eq.j_star, eq.d_star, lam_max=40.0)
     assert len(brackets) == 2
     (a1_, b1_), (a2_, b2_) = brackets
     assert a1_ <= LAMBDA_1 <= b1_
     assert a2_ <= LAMBDA_2 <= b2_
 
 
-def test_instability_region_verifies_by_default():
-    rep = instability_region(P)
+def test_stability_report_verifies_window_by_default():
+    rep = stability_report(P)
     assert rep.region is not None
 
 
 def test_no_cross_diffusion_gives_no_window():
     p = dataclasses.replace(P, d12=0.0, d21=0.0)
-    rep = det_polynomials(p)
+    rep = stability_report(p)
     assert rep.lambda_star is None
     assert rep.region is None
 
 
 def test_zero_plain_diffusion_gives_half_line():
     p = dataclasses.replace(P, d=0.0)
-    rep = instability_region(p)
+    rep = stability_report(p)
     assert rep.lambda_star == pytest.approx(LAMBDA_STAR, rel=1e-15)
     lo, hi = rep.region
     assert lo == pytest.approx(LAMBDA_STAR, rel=1e-12)
@@ -203,7 +200,7 @@ def test_zero_plain_diffusion_gives_half_line():
     rng = np.random.default_rng(3)
     for _ in range(200):
         p = dataclasses.replace(_random_weak_params(rng), d=0.0)
-        rep = instability_region(p)
+        rep = stability_report(p)
         assert rep.lambda_quad[0] == 0.0
         if rep.lambda_star is None:
             assert rep.region is None
@@ -214,9 +211,10 @@ def test_zero_plain_diffusion_gives_half_line():
 
 
 def test_strong_competition_rejected():
-    strong = SktParams(r1=5.0, r2=2.0, a1=1.0, a2=1.0, b1=2.0, b2=2.0)
+    # u* = v* = 1/3: the coexistence state exists, so the weak-competition check is reached
+    strong = SktParams(r1=1.0, r2=1.0, a1=1.0, a2=1.0, b1=2.0, b2=2.0)
     with pytest.raises(StabilityError, match="weak competition"):
-        det_polynomials(strong)
+        stability_report(strong)
 
 
 # ------------------------------------- determinant expansions vs direct det
@@ -254,7 +252,7 @@ def test_both_expansions_match_direct_determinant():
         )
         for q in (p, with_self):
             eq = equilibrium(q)
-            rep = det_polynomials(q, eq)
+            rep = stability_report(q)
             direct = float(np.linalg.det(eq.j_star - lam * eq.d_star))
             coeff_a, coeff_b, coeff_c = rep.det_coeffs_in_d(lam)
             in_d = coeff_a * q.d**2 + coeff_b * q.d + coeff_c
@@ -269,8 +267,7 @@ def test_alpha_beta_reconstruction_identity():
     rng = np.random.default_rng(77)
     for _ in range(50):
         p = _random_weak_params(rng)
-        eq = equilibrium(p)
-        rep = det_polynomials(p, eq)
+        rep = stability_report(p)
         base = dataclasses.replace(p, d=0.0, d12=0.0, d21=0.0)
         eqb = equilibrium(base)
         lam = 1.0
@@ -287,14 +284,14 @@ def test_alpha_beta_reconstruction_identity():
 
 def test_classify_modes_benchmark_ring():
     eigs = ring_spectrum_closed_form(100, 10)
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     modes = classify_modes(eigs, rep)
     assert len(modes) == 6
     assert all(LAMBDA_1 < eigs[i] < LAMBDA_2 for i in modes)
 
 
 def test_classify_modes_strictly_interior():
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     lo, hi = rep.region
     modes = classify_modes(np.array([lo, hi, 0.5 * (lo + hi)]), rep)
     assert modes == (2,)
@@ -302,13 +299,13 @@ def test_classify_modes_strictly_interior():
 
 def test_classify_modes_empty_without_region():
     p = dataclasses.replace(P, d12=0.0, d21=0.0)
-    rep = det_polynomials(p)
+    rep = stability_report(p)
     assert classify_modes(np.array([1.0, 10.0]), rep) == ()
 
 
 def test_growth_rate_positive_exactly_on_unstable_modes():
     eq = equilibrium(P)
-    rep = det_polynomials(P)
+    rep = stability_report(P)
     lo, hi = rep.region
     for lam in np.linspace(0.0, 30.0, 301):
         rate = np.linalg.eigvals(eq.j_star - lam * eq.d_star).real.max()
