@@ -618,7 +618,7 @@ def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[np.ndarray] | np
 
 
 def perturb_homogeneous(
-    eq: Equilibrium | tuple[float, float],
+    eq: Equilibrium,
     n_nodes: int,
     magnitude: float = 1e-2,
     seed: int = 0,
@@ -629,7 +629,6 @@ def perturb_homogeneous(
     independently for both species.  The noise is relative, so a magnitude
     below 1 keeps every perturbed density positive whatever u* and v* are.
     """
-    u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if magnitude < 0:
@@ -637,8 +636,8 @@ def perturb_homogeneous(
     if magnitude >= 1.0:
         raise ValueError(f"magnitude {magnitude} too large: must be < 1")
     rng = rng_from(seed)
-    u = u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
-    v = v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
+    u = eq.u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
+    v = eq.v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     return np.stack((u, v))
 
 
@@ -651,14 +650,13 @@ class PatternMetrics:
     pct_change_v: float
 
 
-def pattern_metrics(final: np.ndarray, eq: Equilibrium | tuple[float, float]) -> PatternMetrics:
+def pattern_metrics(final: np.ndarray, eq: Equilibrium) -> PatternMetrics:
     """Deviation-from-homogeneity summary of a (2, n) final state.
 
     ``heterogeneity`` is ``max_i|u_i - mean(u)| + max_i|v_i - mean(v)|``;
     the percent changes compare the total abundances against the uniform
     coexistence totals ``n*u*`` and ``n*v*``.
     """
-    u_star, v_star = (eq.u_star, eq.v_star) if isinstance(eq, Equilibrium) else eq
     u, v = final
     n = u.size
     het = float(np.abs(u - u.mean()).max() + np.abs(v - v.mean()).max())
@@ -668,8 +666,8 @@ def pattern_metrics(final: np.ndarray, eq: Equilibrium | tuple[float, float]) ->
         heterogeneity=het,
         total_u=total_u,
         total_v=total_v,
-        pct_change_u=100.0 * (total_u - n * u_star) / (n * u_star),
-        pct_change_v=100.0 * (total_v - n * v_star) / (n * v_star),
+        pct_change_u=100.0 * (total_u - n * eq.u_star) / (n * eq.u_star),
+        pct_change_v=100.0 * (total_v - n * eq.v_star) / (n * eq.v_star),
     )
 
 

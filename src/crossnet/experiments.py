@@ -29,8 +29,8 @@ from .stability import (
     DEFAULT_SKT_PARAMS,
     InstabilityReport,
     SktParams,
+    _unstable_mask,
     classify_modes,
-    equilibrium,
     report_to_dict,
     stability_report,
 )
@@ -176,7 +176,7 @@ def ensemble_report(spec: SweepSpec, threads: int | None = None) -> list[Ensembl
         eigs = spectra.ensemble_eigenvalues(
             gspec, spec.realizations, derive_seed(spec.master_seed, j), threads
         )
-        unstable = sum(1 for row in eigs if classify_modes(row, report))
+        unstable = int(_unstable_mask(eigs, report).any(axis=1).sum())
         stats = spectra.stats_from_eigenvalues(eigs)
         rows.append(
             EnsembleRow(
@@ -218,9 +218,9 @@ def simulate_and_report(
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     g = build_graph(graph_spec)
     lap = build_laplacian(g)
-    eq = equilibrium(skt)
     eigenvalues = spectra.eig_symmetric(lap)
     report = stability_report(skt, eigenvalues)
+    eq = report.equilibrium
 
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [

@@ -254,7 +254,7 @@ def _edge_array(edges: set[tuple[int, int]]) -> np.ndarray:
 def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # one Bernoulli draw per unordered pair, row-major over the upper triangle
     pairs = _upper_pairs(n)
-    return pairs[rng.random(len(pairs)) < p]
+    return np.compress(rng.random(len(pairs)) < p, pairs, axis=0)
 
 
 def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -6,6 +6,7 @@ algebraic connectivity.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,13 +40,16 @@ class SpectralStats:
 def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a dense symmetric real matrix, in ascending order.
 
-    Backed by the LAPACK symmetric eigensolver; asymmetric input is
-    rejected, and solver non-convergence surfaces as EigenSolverError.
+    Backed by the LAPACK symmetric eigensolver; non-finite or asymmetric
+    input is rejected, and solver non-convergence surfaces as EigenSolverError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
+    peak = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(peak):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, peak)
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     try:

@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_SKT_PARAMS",
     "Equilibrium",
     "InstabilityReport",
-    "coexistence_equilibrium",
     "equilibrium",
     "classify_modes",
     "stability_report",
@@ -87,22 +86,6 @@ DEFAULT_SKT_PARAMS = SktParams(
 )
 
 
-def coexistence_equilibrium(p: SktParams) -> tuple[float, float]:
-    """Positive solution of r1 = a1*u + b1*v, r2 = b2*u + a2*v.
-
-    Raises StabilityError when the competition matrix is degenerate and
-    NonCoexistenceError when either component is non-positive.
-    """
-    det_c = p.a1 * p.a2 - p.b1 * p.b2
-    if det_c == 0.0:
-        raise StabilityError("degenerate competition matrix: a1*a2 == b1*b2")
-    u = (p.r1 * p.a2 - p.b1 * p.r2) / det_c
-    v = (p.a1 * p.r2 - p.r1 * p.b2) / det_c
-    if not (u > 0.0 and v > 0.0):
-        raise NonCoexistenceError(f"no positive coexistence state: u*={u:g}, v*={v:g}")
-    return u, v
-
-
 @dataclass(frozen=True)
 class Equilibrium:
     """Coexistence state together with both 2x2 linearizations.
@@ -123,7 +106,18 @@ class Equilibrium:
 
 
 def equilibrium(p: SktParams) -> Equilibrium:
-    u, v = coexistence_equilibrium(p)
+    """Positive solution of r1 = a1*u + b1*v, r2 = b2*u + a2*v, with J and D there.
+
+    Raises StabilityError when the competition matrix is degenerate and
+    NonCoexistenceError when either component is non-positive.
+    """
+    det_c = p.a1 * p.a2 - p.b1 * p.b2
+    if det_c == 0.0:
+        raise StabilityError("degenerate competition matrix: a1*a2 == b1*b2")
+    u = (p.r1 * p.a2 - p.b1 * p.r2) / det_c
+    v = (p.a1 * p.r2 - p.r1 * p.b2) / det_c
+    if not (u > 0.0 and v > 0.0):
+        raise NonCoexistenceError(f"no positive coexistence state: u*={u:g}, v*={v:g}")
     j = np.array([[-p.a1 * u, -p.b1 * u], [-p.b2 * v, -p.a2 * v]])
     d = np.array(
         [
@@ -156,7 +150,8 @@ def _det2(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class InstabilityReport:
-    """Everything the mode analysis produces for one parameter set.
+    """Everything the mode analysis produces for one parameter set, with the
+    ``equilibrium`` (state, J and D) it linearizes about.
 
     ``lambda_quad`` holds (qa, qb, qc) with
     ``det(M) = qa*lam^2 + qb*lam + qc``; ``region`` is the open interval of
@@ -173,10 +168,7 @@ class InstabilityReport:
     """
 
     params: SktParams
-    u_star: float
-    v_star: float
-    trace_j: float
-    det_j: float
+    equilibrium: Equilibrium
     alpha: float
     beta: float
     cross_gain: float
@@ -191,7 +183,7 @@ class InstabilityReport:
         With ``D = d*I + D0`` and ``M0 = J - lam*D0``,
         ``det(M) = det(M0 - lam*d*I) = lam^2*d^2 - lam*tr(M0)*d + det(M0)``.
         """
-        eq = equilibrium(self.params)
+        eq = self.equilibrium
         m0 = eq.j_star - lam * (eq.d_star - self.params.d * np.eye(2))
         return lam * lam, -lam * float(m0[0, 0] + m0[1, 1]), _det2(m0)
 
@@ -222,17 +214,21 @@ def det_sign_scan(
     return [(float(grid[i]), float(grid[i + 1])) for i in flips]
 
 
+def _unstable_mask(eigenvalues: np.ndarray, report: InstabilityReport) -> np.ndarray:
+    """Elementwise: strictly inside the unstable window, 1e-9 clear of either endpoint."""
+    vals = np.asarray(eigenvalues, dtype=float)
+    if report.region is None:
+        return np.zeros(vals.shape, dtype=bool)
+    lo, hi = report.region
+    return (vals > lo + _BOUNDARY_TOL) & (vals < hi - _BOUNDARY_TOL)
+
+
 def classify_modes(eigenvalues: np.ndarray, report: InstabilityReport) -> tuple[int, ...]:
     """Indices of eigenvalues strictly inside the unstable window.
 
     Eigenvalues within 1e-9 of either endpoint count as stable.
     """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if report.region is None:
-        return ()
-    lo, hi = report.region
-    inside = (vals > lo + _BOUNDARY_TOL) & (vals < hi - _BOUNDARY_TOL)
-    return tuple(int(i) for i in np.nonzero(inside)[0])
+    return tuple(int(i) for i in np.nonzero(_unstable_mask(eigenvalues, report))[0])
 
 
 def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> InstabilityReport:
@@ -294,10 +290,7 @@ def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> Ins
 
     report = InstabilityReport(
         params=p,
-        u_star=u,
-        v_star=v,
-        trace_j=eq.trace_j,
-        det_j=eq.det_j,
+        equilibrium=eq,
         alpha=alpha,
         beta=beta,
         cross_gain=cross_gain,
@@ -313,11 +306,12 @@ def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> Ins
 def report_to_dict(report: InstabilityReport) -> dict:
     """JSON-ready stability report with fixed key names."""
     region = report.region
+    eq = report.equilibrium
     return {
-        "u_star": report.u_star,
-        "v_star": report.v_star,
-        "trace_J": report.trace_j,
-        "det_J": report.det_j,
+        "u_star": eq.u_star,
+        "v_star": eq.v_star,
+        "trace_J": eq.trace_j,
+        "det_J": eq.det_j,
         "alpha": report.alpha,
         "beta": report.beta,
         "lambda_star": report.lambda_star,

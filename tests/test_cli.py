@@ -249,16 +249,41 @@ _ER = ("--set", "graph.family=erdos-renyi", "--set", "graph.n=20", "--set", "gra
     ("ensemble", "sweep_values[1]", (*_ER, "--set", "experiment.sweep_param=n",
                                      "--set", "experiment.sweep_values=[20,30.5]", "--set", "experiment.realizations=5")),
     ("spectrum", "require_connected", (*_ER, "--set", "graph.require_connected=1")),
+    ("simulate", "seeds", ("--set", "experiment.seeds=[]")),
+    ("ensemble", "sweep_param", (*_ER, "--set", "experiment.sweep_param=q", "--set", "experiment.sweep_values=[1]")),
+    ("ensemble", "sweep_values", (*_ER, "--set", "experiment.sweep_param=n", "--set", "experiment.sweep_values=[]")),
+    ("ensemble", "threads", (*_ER, "--set", "experiment.threads=0", "--set", "experiment.realizations=5")),
+    ("simulate", "steady_state_tol", ("--set", "integrator.steady_state_tol=-1", "--set", "integrator.max_steps=50")),
 ])
 def test_mistyped_setting_is_a_config_error_naming_its_key(capsys, tmp_path, command, key, args):
     # booleans are not numbers, integer keys take no fractional values, seeds
-    # are unsigned 64-bit, and every swept value must make a valid graph
+    # are unsigned 64-bit, every swept value must make a valid graph, and
+    # lists, choices and ranges are checked as well
     out_dir = tmp_path / "typed"
     code, out = run_cli(capsys, command, "--output-dir", str(out_dir), *args)
     assert code == 2, out
     assert json.loads(out)["error"] == "config"
     assert f"{key} must be" in json.loads(out)["message"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    (None, ("--set", "foo.bar=1"), "unknown config block 'foo'"),
+    (None, ("--set", "output_dir=5"), "output_dir must be a string, got 5"),
+    ([], (), "top level must be a JSON object"),
+    ({"graph": 3}, (), "block 'graph' must be a JSON object"),
+])
+def test_unknown_block_or_malformed_config_is_a_config_error(capsys, tmp_path, monkeypatch, doc, args, message):
+    # no --output-dir: the configured output_dir is the one in use
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        args = ("--config", "cfg.json", *args)
+    code, out = run_cli(capsys, "spectrum", *args)
+    assert code == 2, out
+    assert json.loads(out)["error"] == "config"
+    assert message in json.loads(out)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if doc is None else ["cfg.json"])
 
 
 @pytest.mark.parametrize("args", [

@@ -19,7 +19,6 @@ from crossnet import (
     SktParams,
     build_graph,
     build_laplacian,
-    coexistence_equilibrium,
     eig_symmetric,
     equilibrium,
     gen_path,
@@ -303,7 +302,7 @@ def _random_self_diffusion_params(rng) -> SktParams:
             d12=float(rng.uniform(0.0, 5.0)), d21=float(rng.uniform(0.0, 5.0)),
         )
         try:
-            coexistence_equilibrium(p)
+            equilibrium(p)
         except NonCoexistenceError:
             continue
         return p
@@ -429,6 +428,26 @@ def test_nonfinite_state_raises_with_time():
     with pytest.raises(IntegrationError) as err:
         integrate_batch(_per_species(explosive), [init], IntegratorConfig(t_max=10.0, steady_state_tol=1e-30))
     assert err.value.time is not None
+
+
+def test_nonfinite_initial_state_raises_before_any_step():
+    calls = []
+
+    def field(y):
+        calls.append(len(y))
+        return -y
+
+    good = np.ones((2, 3))
+    bad = good.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(IntegrationError, match="initial state contains non-finite values") as err:
+        integrate_batch(field, [bad], IntegratorConfig(t_max=1.0))
+    assert err.value.time == 0.0
+    assert calls == []
+    # behind a finite state, the batch raises once that state has stopped
+    with pytest.raises(IntegrationError, match="initial state contains non-finite values"):
+        integrate_batch(field, [good, bad], IntegratorConfig(t_max=1.0))
+    assert calls and set(calls) == {1}
 
 
 def test_integrator_deterministic():
@@ -711,7 +730,7 @@ def test_pattern_metrics_homogeneous_is_flat():
 
 def test_pattern_metrics_known_values():
     state = np.array([[1.0, 3.0], [2.0, 2.0]])
-    m = pattern_metrics(state, (2.0, 1.0))
+    m = pattern_metrics(state, equilibrium(SktParams(r1=2, r2=1, a1=1, a2=1, b1=0, b2=0)))  # (u*, v*) = (2, 1)
     assert m.heterogeneity == 1.0  # u deviates by 1, v by 0
     assert m.total_u == 4.0
     assert m.pct_change_u == 0.0

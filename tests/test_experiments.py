@@ -1,10 +1,11 @@
 """Experiment drivers: sweeps, lattice comparison, ensembles, simulation runs."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig
+from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, classify_modes, derive_seed, stability
 from crossnet.experiments import (
     SweepSpec,
     ensemble_report,
@@ -16,6 +17,7 @@ from crossnet.experiments import (
     write_manifest,
     write_ring_sweep,
 )
+from crossnet.spectra import ensemble_eigenvalues
 
 P = DEFAULT_SKT_PARAMS
 
@@ -67,6 +69,24 @@ def test_ensemble_report_deterministic_and_fraction_bounded():
         assert ra.stats.realizations == 20
 
 
+def test_ensemble_counts_the_realizations_with_an_unstable_mode():
+    base = GraphSpec(family="erdos-renyi", n=25, p=0.25)
+    values = (0.1, 0.2, 0.4)
+    rows = ensemble_report(SweepSpec(base=base, swept="p", values=values, skt=P,
+                                     realizations=30, master_seed=7))
+    report = stability.stability_report(P)
+    fractions = []
+    for j, value in enumerate(values):
+        eigs = ensemble_eigenvalues(dataclasses.replace(base, p=value), 30, derive_seed(7, j))
+        fractions.append(sum(1 for row in eigs if classify_modes(row, report)) / 30)
+    assert [row.instability_fraction for row in rows] == fractions
+    assert 0.0 < fractions[0] < 1.0  # some realizations unstable, some not
+    # without cross-diffusion there is no window, and no realization counts
+    quiet = ensemble_report(SweepSpec(base=base, swept="p", values=values,
+                                      skt=dataclasses.replace(P, d12=0.0), realizations=5))
+    assert [(row.instability_fraction, row.mean_spectrum_unstable_count) for row in quiet] == [(0.0, 0)] * 3
+
+
 def test_ensemble_values_use_independent_seed_streams():
     base = GraphSpec(family="erdos-renyi", n=25, p=0.25)
     one = ensemble_report(SweepSpec(base=base, swept="p", values=(0.25,), skt=P,
@@ -98,6 +118,22 @@ def test_simulate_and_report_runs_and_metrics(tmp_path):
     for seed in (0, 1):
         assert (out / f"seed_{seed}" / "trajectory.csv").exists()
         assert (out / f"seed_{seed}" / "final_state.csv").exists()
+
+
+def test_simulate_and_report_builds_the_equilibrium_once(monkeypatch):
+    # the report's equilibrium is the state the runs are perturbed from
+    built = []
+    init = stability.Equilibrium.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stability.Equilibrium, "__init__", counting_init)
+    runs = simulate_and_report(GraphSpec(family="ring", n=12, k=2), P, seeds=(0, 1),
+                               cfg=IntegratorConfig(t_max=1.0))
+    assert len(built) == 1
+    assert len(runs) == 2
 
 
 def test_simulate_and_report_rejects_repeated_seeds(tmp_path):

@@ -60,6 +60,17 @@ def test_eig_rejects_nonsymmetric():
         eig_symmetric(m)
 
 
+@pytest.mark.parametrize("m", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [0.0, 1.0]],  # asymmetric as well
+    [[np.inf, 0.0], [0.0, 1.0]],
+])
+def test_eig_rejects_nonfinite_entries(m):
+    # NaN compares false against both the scale and the symmetry bound
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_symmetric(np.array(m))
+
+
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         eig_symmetric(np.zeros((2, 3)))

@@ -19,7 +19,6 @@ from crossnet import (
     SktParams,
     StabilityError,
     classify_modes,
-    coexistence_equilibrium,
     det_sign_scan,
     equilibrium,
     report_to_dict,
@@ -43,13 +42,15 @@ LAMBDA_2 = 18.3146798687997756272118341480
 
 
 def test_benchmark_equilibrium_exact():
-    u, v = coexistence_equilibrium(P)
+    eq = equilibrium(P)
+    u, v = eq.u_star, eq.v_star
     assert u == U_STAR
     assert v == V_STAR
 
 
 def test_equilibrium_solves_reaction_zero():
-    u, v = coexistence_equilibrium(P)
+    eq = equilibrium(P)
+    u, v = eq.u_star, eq.v_star
     assert P.r1 - P.a1 * u - P.b1 * v == pytest.approx(0.0, abs=1e-14)
     assert P.r2 - P.b2 * u - P.a2 * v == pytest.approx(0.0, abs=1e-14)
 
@@ -58,13 +59,13 @@ def test_noncoexistence_raises():
     # r1 large enough that species 2 is excluded: v* <= 0
     p = SktParams(r1=50.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0)
     with pytest.raises(NonCoexistenceError):
-        coexistence_equilibrium(p)
+        equilibrium(p)
 
 
 def test_degenerate_competition_raises():
     p = SktParams(r1=5.0, r2=2.0, a1=1.0, a2=1.0, b1=1.0, b2=1.0)
     with pytest.raises(StabilityError, match="a1\\*a2"):
-        coexistence_equilibrium(p)
+        equilibrium(p)
 
 
 def test_weak_competition_flag():
@@ -83,7 +84,8 @@ def test_equilibrium_satisfies_linear_system(r1, r2, a1, a2, b1, b2):
     p = SktParams(r1=r1, r2=r2, a1=a1, a2=a2, b1=b1, b2=b2)
     assume(p.weak_competition)
     try:
-        u, v = coexistence_equilibrium(p)
+        eq = equilibrium(p)
+        u, v = eq.u_star, eq.v_star
     except NonCoexistenceError:
         return
     assert u > 0 and v > 0
@@ -235,7 +237,7 @@ def _random_weak_params(rng) -> SktParams:
         if not p.weak_competition:
             continue
         try:
-            coexistence_equilibrium(p)
+            equilibrium(p)
         except NonCoexistenceError:
             continue
         return p
@@ -326,6 +328,16 @@ def test_stability_report_and_json_shape():
     assert payload["u_star"] == U_STAR
     assert payload["unstable_modes"] == [5, 6, 7, 8, 9, 10]
     json.dumps(payload)  # serializable as-is
+
+
+def test_report_carries_the_equilibrium_it_was_built_from():
+    rep = stability_report(P)
+    eq = rep.equilibrium
+    assert (eq.u_star, eq.v_star, eq.trace_j, eq.det_j) == (U_STAR, V_STAR, TRACE_J, DET_J)
+    assert np.array_equal(eq.j_star, equilibrium(P).j_star)
+    assert np.array_equal(eq.d_star, equilibrium(P).d_star)
+    # the report keeps no copies of the state's fields
+    assert {f.name for f in dataclasses.fields(rep)}.isdisjoint({"u_star", "v_star", "trace_j", "det_j"})
 
 
 def test_report_json_nulls_without_cross_diffusion():
