@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""End-to-end timings and peak memory of the crossnet CLI, as BENCH_<label>.json.
+
+Runs each command below three times, each time in a fresh Python process
+with the ``crossnet`` of this checkout (``src/``), and records per command:
+the wall seconds of each run and their median, each child's peak resident
+memory (``ru_maxrss`` from ``os.wait4``) and their median, and the work
+counters of its output files, which must repeat exactly.  A fresh process
+per run keeps one run's memory peak out of the next.  BLAS runs on one
+thread unless ``OPENBLAS_NUM_THREADS`` is set.  The file also records the
+numpy and BLAS versions, the CPU count, the CPUs this process may use and
+the line counts of ``src/crossnet/*.py``, since timings taken on different
+machines, or at different times on a shared one, do not compare.
+
+Usage: ``python3 scripts/bench.py LABEL`` writes ``BENCH_LABEL.json`` in the
+current directory.
+"""
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+REPEATS = 3
+
+COMMANDS = {
+    "simulate-default": ["simulate"],
+    "simulate-ring400": [
+        "simulate", "--set", "graph.n=400", "--set", "graph.k=20",
+        "--set", "integrator.steady_state_tol=1e-6", "--set", "integrator.sample_dt=10",
+        "--set", "experiment.seeds=[0,1,2,3,4,5]",
+    ],
+    "stability": ["stability"],
+    "stability-n4000": ["stability", "--set", "graph.n=4000"],
+    "ensemble-er100": [
+        "ensemble", "--set", "graph.family=erdos-renyi", "--set", "graph.n=100",
+        "--set", "experiment.sweep_param=p", "--set", "experiment.sweep_values=[0.1,0.2,0.3]",
+        "--set", "experiment.realizations=500", "--set", "experiment.threads=1",
+    ],
+}
+
+_CLI = "import sys; from crossnet.cli import main; sys.exit(main())"
+
+
+def counters(out: Path) -> dict:
+    """Deterministic work counters of one command's output directory."""
+    report = out / "report.json"
+    if report.is_file():
+        doc = json.loads(report.read_text())
+        found = {"unstable_modes": len(doc["unstable_modes"] or [])}
+        runs = doc.get("runs")
+        if runs is not None:
+            found["runs"] = len(runs)
+            found["converged"] = sum(r["converged"] for r in runs)
+            for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
+                found[key] = sum(r[key] for r in runs)
+        return found
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {"realizations": manifest["realizations"] * len(manifest["values"])}
+
+
+def run_once(argv: list[str]) -> tuple[float, float, dict]:
+    """Wall seconds, peak RSS in MB and work counters of one run in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _CLI, *argv, "--output-dir", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        output = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.stdout.close()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{argv} exited {proc.returncode}: {output.decode().strip()}")
+        # ru_maxrss is in kilobytes on Linux
+        return wall, usage.ru_maxrss / 1024, counters(out)
+
+
+def run_row(name: str, argv: list[str], repeats: int = REPEATS) -> dict:
+    """One benchmark row: ``repeats`` fresh-process runs of ``crossnet argv``."""
+    walls, peaks, seen = [], [], []
+    for _ in range(repeats):
+        wall, peak, found = run_once(argv)
+        walls.append(wall)
+        peaks.append(peak)
+        seen.append(found)
+    if any(found != seen[0] for found in seen):
+        raise RuntimeError(f"{name}: work counters differ between runs: {seen}")
+    row = {
+        "name": name,
+        "argv": argv,
+        "wall_s": walls,
+        "median_wall_s": statistics.median(walls),
+        "peak_rss_mb": peaks,
+        "median_peak_rss_mb": statistics.median(peaks),
+        "counters": seen[0],
+    }
+    if "realizations" in seen[0]:
+        row["realizations_per_s"] = seen[0]["realizations"] / row["median_wall_s"]
+    return row
+
+
+def machine() -> dict:
+    info = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "cpus_available": len(os.sched_getaffinity(0)),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+    }
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        info["blas"] = {key: blas.get(key) for key in ("name", "version")}
+    except (TypeError, KeyError):  # numpy too old for the dict form
+        info["blas"] = None
+    return info
+
+
+def source_lines() -> dict:
+    files = {p.name: len(p.read_text().splitlines()) for p in sorted((SRC / "crossnet").glob("*.py"))}
+    return {"total": sum(files.values()), "files": files}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label", help="names the output file BENCH_<label>.json")
+    label = parser.parse_args(argv).label
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", label):
+        parser.error(f"label must be letters, digits, '.', '_' or '-', got {label!r}")
+    rows = []
+    for name, command in COMMANDS.items():
+        row = run_row(name, command)
+        print(f"{name:<18} {row['median_wall_s']:8.3f} s {row['median_peak_rss_mb']:8.1f} MB", flush=True)
+        rows.append(row)
+    doc = {"label": label, "repeats": REPEATS, "machine": machine(), "source_lines": source_lines(), "rows": rows}
+    path = Path(f"BENCH_{label}.json")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

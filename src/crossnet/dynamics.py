@@ -27,7 +27,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import IntegrationError, require_int, require_real
-from .graphs import laplacian_operator
+from .graphs import BlockLaplacian, laplacian_operator
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
@@ -252,7 +252,7 @@ class _Member:
             final=y.reshape(2, -1).copy(),
             t_final=self.t,
             times=np.asarray(self.buffer.times),
-            traj=np.stack(self.buffer.states).reshape(len(self.buffer.times), 2, -1),
+            traj=np.array(self.buffer.states).reshape(len(self.buffer.times), 2, -1),
             positivity_violated=self.positivity_violated,
             steps_accepted=self.accepted,
             steps_rejected=self.rejected,
@@ -263,6 +263,7 @@ class _Member:
             min_state=self.min_state,
             t_stiff=self.t_stiff,
         )
+        self.buffer = None  # the samples live on in traj alone
 
 
 def _first_error(members: list[_Member]) -> IntegrationError | None:
@@ -610,10 +611,13 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     return [m.result for m in members]
 
 
-def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
-    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch,
-    applying ``lap`` in the form ``graphs.laplacian_operator`` picks."""
-    op = laplacian_operator(lap)
+def simulate_skt(p: SktParams, lap: np.ndarray | BlockLaplacian, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch.
+
+    A dense ``lap`` is applied in the form ``graphs.laplacian_operator``
+    picks; an operator that function returned is applied as it is.
+    """
+    op = laplacian_operator(lap) if isinstance(lap, np.ndarray) else lap
     return integrate_batch(lambda y: rhs(y, p, op), inits, cfg)
 
 

@@ -23,16 +23,16 @@ from .dynamics import (
     write_final_state_csv,
     write_trajectory_csv,
 )
-from .graphs import Graph, GraphSpec, build_graph, build_laplacian, write_edge_list
+from .graphs import Graph, GraphSpec, build_graph, build_laplacian, laplacian_operator, write_edge_list
 from .rng import derive_seed
 from .stability import (
     DEFAULT_SKT_PARAMS,
     InstabilityReport,
     SktParams,
-    _unstable_mask,
     classify_modes,
     report_to_dict,
     stability_report,
+    unstable_mask,
 )
 from .textio import fmt_float, write_json
 
@@ -176,7 +176,7 @@ def ensemble_report(spec: SweepSpec, threads: int | None = None) -> list[Ensembl
         eigs = spectra.ensemble_eigenvalues(
             gspec, spec.realizations, derive_seed(spec.master_seed, j), threads
         )
-        unstable = int(_unstable_mask(eigs, report).any(axis=1).sum())
+        unstable = int(unstable_mask(eigs, report).any(axis=1).sum())
         stats = spectra.stats_from_eigenvalues(eigs)
         rows.append(
             EnsembleRow(
@@ -221,11 +221,14 @@ def simulate_and_report(
     eigenvalues = spectra.eig_symmetric(lap)
     report = stability_report(skt, eigenvalues)
     eq = report.equilibrium
+    # integrate on the operator alone, so a blockwise one frees the dense matrix
+    op = laplacian_operator(lap)
+    del lap
 
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [
         SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq))
-        for seed, result in zip(seeds, simulate_skt(skt, lap, inits, cfg))
+        for seed, result in zip(seeds, simulate_skt(skt, op, inits, cfg))
     ]
 
     if out_dir is not None:

@@ -42,15 +42,20 @@ def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
 
     Backed by the LAPACK symmetric eigensolver; non-finite or asymmetric
     input is rejected, and solver non-convergence surfaces as EigenSolverError.
+    The checks build one n x n temporary, ``a - a.T``, and the solver works
+    on its own copy of the input, so the peak is the input plus one copy.
+    The difference is exactly antisymmetric (fl(x - y) = -fl(y - x)), so its
+    largest entry is its largest magnitude.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    peak = float(np.abs(a).max()) if a.size else 0.0
+    # a NaN entry makes both operands NaN; max() would drop a lone second one
+    peak = max(float(a.max()), -float(a.min())) if a.size else 0.0
     if not math.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, peak)
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    if float((a - a.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     try:
         return np.linalg.eigvalsh(a)

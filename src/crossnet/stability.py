@@ -34,6 +34,7 @@ __all__ = [
     "InstabilityReport",
     "equilibrium",
     "classify_modes",
+    "unstable_mask",
     "stability_report",
     "report_to_dict",
     "det_sign_scan",
@@ -201,7 +202,10 @@ def det_sign_scan(
     """Brackets where det(J - lam*D) changes sign on a uniform grid (step 1e-3).
 
     Direct 2x2 determinant evaluation, independent of the polynomial
-    expansions; used to cross-check the closed-form roots.
+    expansions; used to cross-check the closed-form roots.  Grid points
+    where the determinant is exactly zero are skipped, so a root on the
+    grid is bracketed by its neighbours when their signs differ, and a
+    touch (+, 0, +) brackets nothing.
     """
     grid = np.arange(lam_min, lam_max + _SCAN_STEP, _SCAN_STEP)
     m11 = j_star[0, 0] - grid * d_star[0, 0]
@@ -209,13 +213,27 @@ def det_sign_scan(
     m21 = j_star[1, 0] - grid * d_star[1, 0]
     m22 = j_star[1, 1] - grid * d_star[1, 1]
     dets = m11 * m22 - m12 * m21
-    signs = np.sign(dets)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
+    nonzero = np.flatnonzero(dets)
+    signs = np.sign(dets[nonzero])
+    flips = np.flatnonzero(signs[:-1] != signs[1:])
+    return [(float(grid[nonzero[i]]), float(grid[nonzero[i + 1]])) for i in flips]
 
 
-def _unstable_mask(eigenvalues: np.ndarray, report: InstabilityReport) -> np.ndarray:
-    """Elementwise: strictly inside the unstable window, 1e-9 clear of either endpoint."""
+def _scan_resolves(eq: Equilibrium, slope: float, lam: float) -> bool:
+    """Whether ``det_sign_scan`` can see a simple root at ``lam`` where the
+    determinant has slope ``slope``: the determinant's change over one scan
+    step must exceed the rounding bound of its direct evaluation, the bound
+    ``_det2`` uses.  That bound grows as lam^2, and transport coefficients
+    below the rounding of D's entries move the root without moving the
+    direct determinant, so very large roots (from about 1e5 on) may go
+    unscanned."""
+    (m11, m12), (m21, m22) = (eq.j_star - lam * eq.d_star).tolist()
+    return abs(slope) * _SCAN_STEP > 4.0 * _EPS * (abs(m11 * m22) + abs(m12 * m21))
+
+
+def unstable_mask(eigenvalues: np.ndarray, report: InstabilityReport) -> np.ndarray:
+    """Elementwise over an array of any shape: strictly inside the unstable
+    window, 1e-9 clear of either endpoint."""
     vals = np.asarray(eigenvalues, dtype=float)
     if report.region is None:
         return np.zeros(vals.shape, dtype=bool)
@@ -228,7 +246,7 @@ def classify_modes(eigenvalues: np.ndarray, report: InstabilityReport) -> tuple[
 
     Eigenvalues within 1e-9 of either endpoint count as stable.
     """
-    return tuple(int(i) for i in np.nonzero(_unstable_mask(eigenvalues, report))[0])
+    return tuple(int(i) for i in np.nonzero(unstable_mask(eigenvalues, report))[0])
 
 
 def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> InstabilityReport:
@@ -237,7 +255,7 @@ def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> Ins
     Requires weak competition (otherwise the uniform mode itself is
     already unstable and the mode window is meaningless).  The closed-form
     roots of the determinant quadratic are cross-checked against a direct
-    determinant sign scan around each root; disagreement raises
+    determinant sign scan around each root the scan resolves; disagreement raises
     StabilityError.  When eigenvalues are given the unstable modes are
     attached.
     """
@@ -249,12 +267,14 @@ def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> Ins
     beta = u * (p.b1 * v - p.a1 * u)
     cross_gain = p.d12 * alpha + p.d21 * beta
     # det(J - lam*(d*I + D0)) expanded in lam, with D0 the transport without
-    # plain diffusion; expanding in d as well keeps qa accurate for small d,
-    # where det(D) itself would cancel
+    # plain diffusion; expanding in d, and det(D0) into its non-negative
+    # terms, keeps qa accurate for small d and small self-diffusion, where
+    # det(D) and det(D0) themselves would cancel
     j = eq.j_star
     d0 = eq.d_star - p.d * np.eye(2)
     mixed = j[0, 0] * d0[1, 1] + j[1, 1] * d0[0, 0] - j[0, 1] * d0[1, 0] - j[1, 0] * d0[0, 1]
-    qa = p.d * (p.d + float(d0[0, 0] + d0[1, 1])) + _det2(d0)
+    det_d0 = 2.0 * (2.0 * p.d11 * p.d22 * u * v + p.d11 * p.d21 * u * u + p.d12 * p.d22 * v * v)
+    qa = p.d * (p.d + float(d0[0, 0] + d0[1, 1])) + det_d0
     qb = -(float(mixed) + p.d * eq.trace_j)
     qc = eq.det_j
 
@@ -274,10 +294,11 @@ def stability_report(p: SktParams, eigenvalues: np.ndarray | None = None) -> Ins
         # unbounded above
         region = (float(qc / -qb), math.inf)
 
-    # roots closer than the scan resolution cannot be bracketed separately
+    # roots closer than the scan resolution cannot be bracketed separately,
+    # and a root the direct determinant cannot resolve cannot be scanned
     if region is not None and region[1] - region[0] > 4.0 * _SCAN_STEP:
         for root in region:
-            if not math.isfinite(root):
+            if not (math.isfinite(root) and _scan_resolves(eq, 2.0 * qa * root + qb, root)):
                 continue
             brackets = det_sign_scan(
                 eq.j_star, eq.d_star, root + 2.0 * _SCAN_STEP,

@@ -90,6 +90,18 @@ def test_stability_command_benchmark(capsys, tmp_path):
     assert report["lambda_star_1"] == pytest.approx(7.302604081817508, rel=1e-12)
 
 
+@pytest.mark.parametrize("d12, window", [
+    # a scan grid point lands on the root, where the determinant is exactly zero
+    ("2.7300129666666666", (12.0214, 12.1369)),
+    ("2.9999900333333334", (7.30267, 18.3146)),
+])
+def test_stability_reports_a_window_when_the_scan_hits_its_root(capsys, tmp_path, d12, window):
+    code, out = run_cli(capsys, "stability", "--set", f"skt.d12={d12}", "--output-dir", str(tmp_path / "st"))
+    assert code == 0, out
+    payload = json.loads(out)
+    assert (payload["lambda_star_1"], payload["lambda_star_2"]) == pytest.approx(window, abs=1e-4)
+
+
 def test_stability_with_self_diffusion_matches_simulation(capsys, tmp_path):
     # self-diffusion closes the default window; the report must say so and the
     # simulation with the same configuration must relax to the uniform state

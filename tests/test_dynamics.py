@@ -7,6 +7,7 @@ preserve regardless of step-size choices.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -665,6 +666,26 @@ def test_batch_raises_the_error_of_the_first_failing_member():
                          ([late, early], late), ([decays, early, late], early)):
         assert error(inits) == error([first])
     assert error([late]) != error([early])
+
+
+def test_finished_members_keep_their_samples_once():
+    # a rotation keeps every step small, so each of the four members records
+    # about a thousand samples, which dominate the traced peak: the samples
+    # once, plus one member's list while it is stacked into its traj (a
+    # quarter), plus one step's working arrays
+    def rotate(y):
+        return np.stack((-y[:, 1], y[:, 0]), axis=1)
+
+    cfg = IntegratorConfig(t_max=32.0, sample_dt=1e-3, rel_tol=1e-10, steady_state_tol=0.0)
+    inits = [np.ones((2, 500))] * 4
+    tracemalloc.start()
+    try:
+        results = integrate_batch(rotate, inits, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(r.times) > 1000 for r in results)
+    assert peak < 1.3 * sum(r.traj.nbytes for r in results)
 
 
 def test_config_validation():

@@ -1,11 +1,24 @@
 """Experiment drivers: sweeps, lattice comparison, ensembles, simulation runs."""
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, classify_modes, derive_seed, stability
+from crossnet import (
+    BlockLaplacian,
+    DEFAULT_SKT_PARAMS,
+    GraphSpec,
+    IntegratorConfig,
+    build_laplacian,
+    classify_modes,
+    derive_seed,
+    dynamics,
+    experiments,
+    laplacian_operator,
+    stability,
+)
 from crossnet.experiments import (
     SweepSpec,
     ensemble_report,
@@ -134,6 +147,30 @@ def test_simulate_and_report_builds_the_equilibrium_once(monkeypatch):
                                cfg=IntegratorConfig(t_max=1.0))
     assert len(built) == 1
     assert len(runs) == 2
+
+
+def test_simulate_and_report_drops_the_dense_laplacian_before_integrating(monkeypatch):
+    # the ring n = 400, k = 20 is integrated on BlockLaplacian blocks, so the
+    # dense matrix must be freed before the integration starts
+    class Started(Exception):
+        pass
+
+    built = []
+
+    def tracked_laplacian(g):
+        lap = build_laplacian(g)
+        built.append(weakref.ref(lap))
+        assert isinstance(laplacian_operator(lap), BlockLaplacian)
+        return lap
+
+    def integrate_batch(field, inits, cfg):
+        assert [ref() for ref in built] == [None]
+        raise Started
+
+    monkeypatch.setattr(experiments, "build_laplacian", tracked_laplacian)
+    monkeypatch.setattr(dynamics, "integrate_batch", integrate_batch)
+    with pytest.raises(Started):
+        simulate_and_report(GraphSpec(family="ring", n=400, k=20), P, seeds=(0,))
 
 
 def test_simulate_and_report_rejects_repeated_seeds(tmp_path):

@@ -1,4 +1,5 @@
 """The example scripts under scripts/, run as a user would run them."""
+import importlib.util
 import os
 import re
 import subprocess
@@ -55,3 +56,19 @@ def test_pattern_simulations_writes_every_case(tmp_path):
         for name in ("report.json", "trajectory.csv", "final_state.csv"):
             path = tmp_path / "out" / case / name
             assert path.is_file() and path.stat().st_size > 0, path
+
+
+def test_bench_row_runner_on_a_tiny_command():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    argv = ["simulate", "--set", "graph.n=12", "--set", "graph.k=2", "--set", "integrator.t_max=1"]
+    row = bench.run_row("tiny", argv, repeats=2)
+    assert row["argv"] == argv
+    assert len(row["wall_s"]) == len(row["peak_rss_mb"]) == 2
+    assert row["median_wall_s"] > 0 and row["median_peak_rss_mb"] > 0
+    counters = row["counters"]
+    assert counters["runs"] == 1 and counters["converged"] == 0
+    assert counters["rhs_evaluations"] > counters["steps_accepted"] > 0
+    with pytest.raises(RuntimeError, match="exited 2: .*n must be >= 1"):
+        bench.run_once(["simulate", "--set", "graph.n=0"])

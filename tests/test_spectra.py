@@ -1,4 +1,6 @@
 """Spectra: closed forms vs numeric solver, connectivity facts, ensemble stats."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,15 +62,41 @@ def test_eig_rejects_nonsymmetric():
         eig_symmetric(m)
 
 
+@pytest.mark.parametrize("entry", [0.5, -0.5])
+def test_eig_rejects_asymmetry_in_the_last_row_only(entry):
+    m = np.eye(3)
+    m[2, 0] = entry
+    with pytest.raises(ValueError, match="symmetric"):
+        eig_symmetric(m)
+
+
 @pytest.mark.parametrize("m", [
     [[np.nan, 0.0], [0.0, 1.0]],
     [[1.0, np.nan], [0.0, 1.0]],  # asymmetric as well
     [[np.inf, 0.0], [0.0, 1.0]],
+    [[-np.inf, 0.0], [0.0, 1.0]],
 ])
 def test_eig_rejects_nonfinite_entries(m):
     # NaN compares false against both the scale and the symmetry bound
     with pytest.raises(ValueError, match="non-finite"):
         eig_symmetric(np.array(m))
+
+
+def test_eig_symmetric_checks_with_one_working_copy():
+    # the checks may hold one n x n temporary (the solver's own copy of the
+    # input is not traced by tracemalloc, and takes the same room)
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((300, 300))
+    m += m.T
+    eig_symmetric(m)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eig_symmetric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.1 * m.nbytes
 
 
 def test_eig_rejects_nonsquare():

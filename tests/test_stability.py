@@ -7,10 +7,11 @@ exact in double precision.  The two window endpoints were frozen from a
 """
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crossnet import (
@@ -176,6 +177,66 @@ def test_sign_scan_brackets_the_endpoints():
     (a1_, b1_), (a2_, b2_) = brackets
     assert a1_ <= LAMBDA_1 <= b1_
     assert a2_ <= LAMBDA_2 <= b2_
+
+
+def test_sign_scan_brackets_a_root_on_the_grid_and_skips_a_touch():
+    # with J = diag(1, s) and D = I, det(J - lam*D) = (1 - lam)(s - lam) is
+    # exactly zero at the grid point lam = 1
+    grid = np.arange(0.0, 2.0 + 1e-3, 1e-3)
+    assert grid[1000] == 1.0
+    crossing = det_sign_scan(np.diag([1.0, -1.0]), np.eye(2), lam_max=2.0)
+    assert crossing == [(float(grid[999]), float(grid[1001]))]
+    assert det_sign_scan(np.diag([1.0, 1.0]), np.eye(2), lam_max=2.0) == []
+
+
+def _exact_det(p: SktParams, lam: float) -> Fraction:
+    """det(J - lam*D) at the coexistence state, in exact rational arithmetic."""
+    q = {name: Fraction(getattr(p, name)) for name in
+         ("r1", "r2", "a1", "a2", "b1", "b2", "d", "d11", "d22", "d12", "d21")}
+    det_c = q["a1"] * q["a2"] - q["b1"] * q["b2"]
+    u = (q["r1"] * q["a2"] - q["b1"] * q["r2"]) / det_c
+    v = (q["a1"] * q["r2"] - q["r1"] * q["b2"]) / det_c
+    lam = Fraction(lam)
+    m11 = -q["a1"] * u - lam * (q["d"] + 2 * q["d11"] * u + q["d12"] * v)
+    m12 = -q["b1"] * u - lam * q["d12"] * u
+    m21 = -q["b2"] * v - lam * q["d21"] * v
+    m22 = -q["a2"] * v - lam * (q["d"] + 2 * q["d22"] * v + q["d21"] * u)
+    return m11 * m22 - m12 * m21
+
+
+# a scan grid point on the root: determinant exactly zero there
+@example(5.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.03, 0.0, 0.0, 2.7300129666666666, 0.0)
+@example(5.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.03, 0.0, 0.0, 2.9999900333333334, 0.0)
+# an upper root near 1e61, far past what the direct determinant resolves
+@example(5.0, 2.0, 3.0, 3.0, 1.0, 1.0, 1e-60, 0.0, 0.0, 3.0, 0.0)
+# an upper root near 3e14 that det(D0) computed as a difference put 0.24 % too low
+@example(1.0, 4.0, 1.0, 1.5, 0.25, 0.5, 0.0, 0.0, 1e-15, 0.0078125, 1.0)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.5, 8.0), st.floats(0.5, 8.0),
+    st.floats(1.0, 5.0), st.floats(1.0, 5.0),
+    st.floats(0.0, 0.9), st.floats(0.0, 0.9),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+)
+def test_window_ends_are_sign_changes_of_the_determinant(r1, r2, a1, a2, b1, b2, d, d11, d22, d12, d21):
+    p = SktParams(r1=r1, r2=r2, a1=a1, a2=a2, b1=b1, b2=b2, d=d, d11=d11, d22=d22, d12=d12, d21=d21)
+    try:
+        rep = stability_report(p)
+    except NonCoexistenceError:
+        return
+    if rep.region is None:
+        return
+    lo, hi = rep.region
+    # positive below the window, negative inside it, positive above it
+    for root, outside in ((lo, -1), (hi, 1)):
+        if not np.isfinite(root):
+            continue
+        h = 1e-6 * max(1.0, root)
+        if hi - lo <= 4.0 * h:
+            continue
+        assert _exact_det(p, root + outside * h) > 0
+        assert _exact_det(p, root - outside * h) < 0
 
 
 def test_stability_report_verifies_window_by_default():
