@@ -12,6 +12,13 @@ numpy and BLAS versions, the CPU count, the CPUs this process may use and
 the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
+It also times one integrator member-step in this process, at batch sizes
+B = 1, 8 and 64: the Erdos-Renyi graph with n = 100, p = 0.1 and graph seed
+1, on the dense Laplacian, t_max = 300, the perturbation seeds 0..B-1
+integrated in one ``integrate_batch``.  A row's value is the best of three
+runs in microseconds, divided by the accepted and rejected steps summed over
+the batch.
+
 Usage: ``python3 scripts/bench.py LABEL`` writes ``BENCH_LABEL.json`` in the
 current directory.
 """
@@ -31,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 REPEATS = 3
+MEMBER_STEP_BATCHES = (1, 8, 64)
 
 COMMANDS = {
     "simulate-default": ["simulate"],
@@ -114,6 +122,36 @@ def run_row(name: str, argv: list[str], repeats: int = REPEATS) -> dict:
     return row
 
 
+def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int = REPEATS) -> dict:
+    """Microseconds per integrator member-step, best of ``repeats`` in-process runs."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from crossnet.dynamics import IntegratorConfig, integrate_batch, perturb_homogeneous, rhs
+    from crossnet.graphs import GraphSpec, build_graph, build_laplacian
+    from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
+
+    lap = build_laplacian(build_graph(GraphSpec(family="erdos-renyi", n=n, p=0.1, seed=1)))
+    inits = [perturb_homogeneous(equilibrium(p), n, 1e-2, seed) for seed in range(batch)]
+    cfg = IntegratorConfig(t_max=t_max)
+    runs, seen = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        results = integrate_batch(lambda y: rhs(y, p, lap), inits, cfg)
+        runs.append((time.perf_counter() - start) * 1e6)
+        seen.append(sum(r.steps_accepted + r.steps_rejected for r in results))
+    if any(steps != seen[0] for steps in seen):
+        raise RuntimeError(f"member-step B={batch}: step counts differ between runs: {seen}")
+    return {
+        "name": f"member-step-B{batch}",
+        "batch": batch,
+        "n": n,
+        "t_max": t_max,
+        "member_steps": seen[0],
+        "run_us": runs,
+        "us_per_member_step": min(runs) / seen[0],
+    }
+
+
 def machine() -> dict:
     info = {
         "python": sys.version.split()[0],
@@ -145,6 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, command in COMMANDS.items():
         row = run_row(name, command)
         print(f"{name:<18} {row['median_wall_s']:8.3f} s {row['median_peak_rss_mb']:8.1f} MB", flush=True)
+        rows.append(row)
+    for batch in MEMBER_STEP_BATCHES:
+        row = member_step_row(batch)
+        print(f"{row['name']:<18} {row['us_per_member_step']:8.1f} us per member-step", flush=True)
         rows.append(row)
     doc = {"label": label, "repeats": REPEATS, "machine": machine(), "source_lines": source_lines(), "rows": rows}
     path = Path(f"BENCH_{label}.json")

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isnan, nan
 
 import numpy as np
 
 from .errors import IntegrationError, require_int, require_real
-from .graphs import BlockLaplacian, laplacian_operator
+from .graphs import laplacian_operator
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
@@ -235,7 +235,6 @@ class _Member:
         self.t_stiff: float | None = None  # set when the state hands over to RKC
         self.stages = 0  # RKC stages of the current step
         self.rho: float | None = None  # spectral radius estimate; None when one is due
-        self.rho_dir: np.ndarray | None = None  # where its power iteration starts
         self.rho_age = 0  # accepted steps since the estimate
         self.h_last: float | None = None  # the previous accepted RKC step
         self.result: SimulationResult | None = None
@@ -267,14 +266,9 @@ class _Member:
 
 
 def _first_error(members: list[_Member]) -> IntegrationError | None:
-    """The error of the first failed member, once every member before it has
-    finished: the error that integrating the states one by one would raise."""
-    for m in members:
-        if m.error is not None:
-            return m.error
-        if m.result is None:
-            return None
-    return None
+    """The error of the first member without a result, None while that member
+    runs: the error that integrating the states one by one would raise."""
+    return next((m.error for m in members if m.result is None), None)
 
 
 def _evaluate(field, states: np.ndarray) -> np.ndarray:
@@ -354,38 +348,36 @@ def _rkc_step(field, y: np.ndarray, f: np.ndarray, h: np.ndarray, s: int, cfg: I
     return prev, f_new, _rms(0.8 * (y - prev) + 0.4 * h * (f + f_new), scale)
 
 
-def _estimate_spectral_radius(field, members: list[_Member], y: np.ndarray, f: np.ndarray, small: float) -> None:
+def _estimate_spectral_radius(field, y: np.ndarray, f: np.ndarray, direction: np.ndarray, small: float):
     """rkc.f's nonlinear power iteration (RKCRHO) for the spectral radius of
     the Jacobian of ``field`` at each row of ``y`` (``f`` the field there).
 
-    Each member's iteration starts along its ``rho_dir`` and probes at a
-    distance sqrt(eps) * ||y|| from y; it settles when two successive
-    estimates agree to 1% of the larger of the estimate and ``small``.  Sets
-    ``rho`` to 1.2 times the estimate and ``rho_dir`` to the last direction,
-    and counts every probe; a member whose estimate does not settle within
-    the iteration limit gets an IntegrationError.
+    Each row's iteration starts along its row of ``direction`` and probes at
+    a distance sqrt(eps) * ||y|| from y; it settles when two successive
+    estimates agree to 1% of the larger of the estimate and ``small``.
+    Returns per row 1.2 times the settled estimate, or NaN where it did not
+    settle within the iteration limit; the direction of the last probe; and
+    the number of probes, each one field evaluation.
     """
     n = y.shape[1]
-    ynrm, dnrm = _norms(y), _norms(np.array([m.rho_dir for m in members]))
+    ynrm, dnrm = _norms(y), _norms(direction)
     v = np.empty_like(y)
     dist = []
-    for i, m in enumerate(members):
+    for i in range(len(y)):
         dist.append(ynrm[i] * _UROUND ** 0.5 if ynrm[i] > 0.0 else _UROUND)
         if dnrm[i] > 0.0:
-            v[i] = y[i] + m.rho_dir * (dist[i] / dnrm[i])
+            v[i] = y[i] + direction[i] * (dist[i] / dnrm[i])
         else:
             v[i] = y[i] + (y[i] * _UROUND ** 0.5 if ynrm[i] > 0.0 else _UROUND)
-    sigma = [0.0] * len(members)
-    pending = list(range(len(members)))
+    rho, sigma, probes = [nan] * len(y), [0.0] * len(y), [_RKC_POWER_ITERATIONS] * len(y)
+    pending = list(range(len(y)))
     for iteration in range(1, _RKC_POWER_ITERATIONS + 1):
         df = _evaluate(field, v[pending]) - f[pending]
         still = []
         for i, row, dfnrm in zip(pending, df, _norms(df)):
-            m = members[i]
-            m.evals += 1
             previous, sigma[i] = sigma[i], dfnrm / dist[i]
             if iteration >= 2 and abs(sigma[i] - previous) <= 0.01 * max(sigma[i], small):
-                m.rho, m.rho_dir, m.rho_age = 1.2 * sigma[i], v[i] - y[i], 0
+                rho[i], probes[i] = 1.2 * sigma[i], iteration
                 continue
             if dfnrm > 0.0:
                 v[i] = y[i] + row * (dist[i] / dfnrm)
@@ -396,9 +388,8 @@ def _estimate_spectral_radius(field, members: list[_Member], y: np.ndarray, f: n
             still.append(i)
         pending = still
         if not pending:
-            return
-    for i in pending:
-        members[i].error = IntegrationError("spectral radius estimate did not converge", members[i].t)
+            break
+    return rho, v - y, probes
 
 
 def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
@@ -437,50 +428,47 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     y = np.array(inits, dtype=float)
     if y.ndim != 3 or y.shape[1] != 2 or y.shape[0] * y.shape[2] == 0:
         raise ValueError(f"initial states must be (2, n) arrays with n >= 1, got an array of shape {y.shape}")
+    # row j of y, of f (the field there) and of rho_dir (where member j's
+    # spectral radius estimate starts) belong to members[j] for the whole run
     y = y.reshape(len(y), -1)  # each row is concat(u, v)
+    f, rho_dir = np.zeros_like(y), np.zeros_like(y)
     members = [_Member(row, cfg) for row in y]
-    for m, row in zip(members, y):
-        if not np.isfinite(row).all():
+    for m, finite in zip(members, np.isfinite(y).all(axis=1).tolist()):
+        if not finite:
             m.error = IntegrationError("initial state contains non-finite values", m.t)
-    live = [j for j, m in enumerate(members) if not m.done]
-    if not live:
-        raise _first_error(members)
-    active = [members[j] for j in live]
-    y = y[live]
+    error = _first_error(members)
+    if error is not None:
+        raise error
+    live = [j for j, m in enumerate(members) if not m.done]  # the running members
 
-    f = _evaluate(field, y)
-    live = []
-    for j, (m, residual) in enumerate(zip(active, np.abs(f).max(axis=1).tolist())):
-        m.evals += 1
-        m.residual = residual
+    f[live] = _evaluate(field, y[live])
+    for j, residual in zip(live, np.abs(f[live]).max(axis=1).tolist()):
+        members[j].evals += 1
+        members[j].residual = residual
         if residual <= cfg.steady_state_tol:
-            m.finish(y[j], "steady_state")
-        else:
-            live.append(j)
-    active = [active[j] for j in live]
-    y, f = y[live], f[live]
+            members[j].finish(y[j], "steady_state")
+    live = [j for j in live if not members[j].done]
 
-    if active:
+    if live:
         # initial step sizes: the standard two-probe startup heuristic
-        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-        d0, d1 = _rms(y, scale), _rms(f, scale)
+        y0, f0 = y[live], f[live]
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
+        d0, d1 = _rms(y0, scale), _rms(f0, scale)
         h0 = [min(1e-6 if a < 1e-10 or b < 1e-10 else 0.01 * a / b, cfg.t_max) for a, b in zip(d0, d1)]
-        f1 = _evaluate(field, y + np.array(h0)[:, None] * f)
-        for m, h, b, c in zip(active, h0, d1, _rms(f1 - f, scale)):
-            m.evals += 1
+        f1 = _evaluate(field, y0 + np.array(h0)[:, None] * f0)
+        for j, h, b, c in zip(live, h0, d1, _rms(f1 - f0, scale)):
+            members[j].evals += 1
             d2 = c / h
             h1 = max(1e-6, h * 1e-3) if max(b, d2) <= 1e-15 else (0.01 / max(b, d2)) ** 0.2
-            m.h = min(100.0 * h, h1, cfg.t_max)
+            members[j].h = min(100.0 * h, h1, cfg.t_max)
 
     # spectral radii below this cannot limit a step within t_max
     small = 1.0 / cfg.t_max
     # rkc.f's bound on the stage count, which keeps rounding errors in check
     max_stages = max(2, round((cfg.rel_tol / (10.0 * _UROUND)) ** 0.5))
-    while active:
-        live = []
-        for j, m in enumerate(active):
-            if m.done:
-                continue
+    while True:
+        for j in live:
+            m = members[j]
             if m.t >= cfg.t_max:
                 m.finish(y[j], "t_max")
             elif m.accepted + m.rejected >= cfg.max_steps:
@@ -489,60 +477,61 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                 m.h = min(m.h, cfg.t_max - m.t)
                 if m.h < 1e-14 * max(1.0, abs(m.t)):
                     m.error = IntegrationError("step size underflow", m.t)
-                else:
-                    live.append(j)
-        due = [j for j in live if active[j].t_stiff is not None and active[j].rho is None]
+        live = [j for j in live if not members[j].done]
+        due = [j for j in live if members[j].t_stiff is not None and members[j].rho is None]
         if due:
-            _estimate_spectral_radius(field, [active[j] for j in due], y[due], f[due], small)
-            live = [j for j in live if not active[j].done]
+            rho, rho_dir[due], probes = _estimate_spectral_radius(field, y[due], f[due], rho_dir[due], small)
+            for j, r, k in zip(due, rho, probes):
+                m = members[j]
+                m.evals += k
+                if isnan(r):
+                    m.error = IntegrationError("spectral radius estimate did not converge", m.t)
+                else:
+                    m.rho, m.rho_age = r, 0
+            live = [j for j in live if not members[j].done]
         error = _first_error(members)
         if error is not None:
             raise error
-        if len(live) < len(active):
-            active = [active[j] for j in live]
-            y, f = y[live], f[live]
-            if not active:
-                break
+        if not live:
+            return [m.result for m in members]
 
         # Dormand-Prince for the states not yet found stiff, RKC for the others
-        dp = [j for j, m in enumerate(active) if m.t_stiff is None]
-        rk = [j for j, m in enumerate(active) if m.t_stiff is not None]
+        dp = [j for j in live if members[j].t_stiff is None]
+        rk = [j for j in live if members[j].t_stiff is not None]
         for j in rk:
-            m = active[j]
+            m = members[j]
             m.stages = 1 + int((1.0 + 1.54 * m.h * m.rho) ** 0.5)
             if m.stages > max_stages:
                 m.stages = max_stages
                 m.h = (max_stages * max_stages - 1) / (1.54 * m.rho)
-        h = np.array([m.h for m in active])[:, None]
-        y_new, f_new, errs = np.empty_like(y), np.empty_like(y), np.empty(len(active))
+        # step the running rows in place, keeping their states to restore on rejection
+        y_old, f_old, errs = y[live], f[live], {}
         if dp:
-            y_new[dp], f_new[dp], errs[dp], y6, f6 = _dp5_step(field, y[dp], f[dp], h[dp], cfg)
-        for s in sorted({active[j].stages for j in rk}):
-            group = [j for j in rk if active[j].stages == s]
-            y_new[group], f_new[group], errs[group] = _rkc_step(field, y[group], f[group], h[group], s, cfg)
-        errs = errs.tolist()
+            y[dp], f[dp], e, y6, f6 = _dp5_step(field, y[dp], f[dp], np.array([[members[j].h] for j in dp]), cfg)
+            errs.update(zip(dp, e))
+        for s in sorted({members[j].stages for j in rk}):
+            group = [j for j in rk if members[j].stages == s]
+            y[group], f[group], e = _rkc_step(field, y[group], f[group], np.array([[members[j].h] for j in group]), s, cfg)
+            errs.update(zip(group, e))
 
-        accept = []
-        for m, err in zip(active, errs):
+        # accept or reject each step; exact solutions stay non-negative, so
+        # clamp shallow undershoots of an accepted state to 0 and re-evaluate
+        # those states, and flag deeper ones
+        accepted, clamped = [], []
+        for j, y_j, f_j, step_min in zip(live, y_old, f_old, y[live].min(axis=1).tolist()):
+            m, err = members[j], errs[j]
             m.evals += 6 if m.t_stiff is None else m.stages
-            ok = isfinite(err) and err <= 1.0
-            accept.append(ok)
-            if not ok:
+            if not (isfinite(err) and err <= 1.0):
                 m.rejected += 1
+                y[j], f[j] = y_j, f_j
                 if m.t_stiff is None:
                     m.h *= _MIN_FACTOR if not isfinite(err) else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
                 else:
                     m.h *= _MIN_FACTOR if not isfinite(err) else 0.8 * err ** (-1 / 3)
                     if m.rho_age:  # else rho was estimated at this very state
                         m.rho = None
-        y[accept] = y_new[accept]
-
-        # exact solutions stay non-negative: clamp shallow undershoots to 0
-        # and re-evaluate those states, flag deeper ones
-        clamped = []
-        for j, (m, ok, step_min) in enumerate(zip(active, accept, y_new.min(axis=1).tolist())):
-            if not ok:
                 continue
+            accepted.append(j)
             m.t += m.h
             m.min_state = min(m.min_state, step_min)
             if step_min < 0.0:
@@ -556,40 +545,39 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                     y[j, shallow] = 0.0
                     clamped.append(j)
         if clamped:
-            f_new[clamped] = _evaluate(field, y[clamped])
+            f[clamped] = _evaluate(field, y[clamped])
 
         # the stiffness test of each Dormand-Prince step, on y7 and k7 as accepted
-        flagged = [None] * len(active)  # y7 - y6 of each flagged step
+        flagged = {}  # y7 - y6 of each flagged step
         if dp:
             dy = y[dp] - y6
-            for j, row, num, den in zip(dp, dy, _norms(f_new[dp] - f6), _norms(dy)):
-                if den > 0.0 and active[j].h * num > _STIFF_BOUND * den:
+            for j, row, num, den in zip(dp, dy, _norms(f[dp] - f6), _norms(dy)):
+                if den > 0.0 and members[j].h * num > _STIFF_BOUND * den:
                     flagged[j] = row
 
-        residuals = np.abs(f_new).max(axis=1).tolist()
-        finite = np.isfinite(y).all(axis=1).tolist()
-        for j, (m, ok, err) in enumerate(zip(active, accept, errs)):
-            if not ok:
-                continue
+        residuals = np.abs(f[accepted]).max(axis=1).tolist()
+        finite = np.isfinite(y[accepted]).all(axis=1).tolist()
+        for j, residual, finite_j in zip(accepted, residuals, finite):
+            m, err = members[j], errs[j]
             m.accepted += 1
             m.buffer.record(m.t, y[j])
-            m.residual = residuals[j]
-            if m.residual <= cfg.steady_state_tol:
+            m.residual = residual
+            if residual <= cfg.steady_state_tol:
                 m.finish(y[j], "steady_state")
-            elif not finite[j]:
+            elif not finite_j:
                 m.error = IntegrationError("state became non-finite", m.t)
             elif m.t_stiff is None:
                 factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -_BETA1 * m.err_prev ** _BETA2
                 m.h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 m.err_prev = max(err, 1e-10)
-                if flagged[j] is None:
+                if j not in flagged:
                     m.clear += 1
                     if m.clear == _STIFF_CLEAR:
                         m.flags = 0
                 else:
                     m.flags, m.clear = m.flags + 1, 0
                     if m.flags == _STIFF_FLAGS:
-                        m.t_stiff, m.rho_dir = m.t, flagged[j].copy()
+                        m.t_stiff, rho_dir[j] = m.t, flagged[j]
             else:
                 # rkc.f's predictive controller, from the last two steps once there are two
                 if err == 0.0:
@@ -603,21 +591,15 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
                 m.rho_age += 1
                 if m.rho_age == _RKC_RHO_EVERY:
                     m.rho = None
-        f[accept] = f_new[accept]
-
-    error = _first_error(members)
-    if error is not None:
-        raise error
-    return [m.result for m in members]
+        live = [j for j in live if not members[j].done]
 
 
-def simulate_skt(p: SktParams, lap: np.ndarray | BlockLaplacian, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
     """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch.
 
-    A dense ``lap`` is applied in the form ``graphs.laplacian_operator``
-    picks; an operator that function returned is applied as it is.
+    ``lap`` is applied in the form ``graphs.laplacian_operator`` picks.
     """
-    op = laplacian_operator(lap) if isinstance(lap, np.ndarray) else lap
+    op = laplacian_operator(lap)
     return integrate_batch(lambda y: rhs(y, p, op), inits, cfg)
 
 

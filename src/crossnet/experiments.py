@@ -17,9 +17,10 @@ from .dynamics import (
     IntegratorConfig,
     PatternMetrics,
     SimulationResult,
+    integrate_batch,
     pattern_metrics,
     perturb_homogeneous,
-    simulate_skt,
+    rhs,
     write_final_state_csv,
     write_trajectory_csv,
 )
@@ -221,14 +222,15 @@ def simulate_and_report(
     eigenvalues = spectra.eig_symmetric(lap)
     report = stability_report(skt, eigenvalues)
     eq = report.equilibrium
-    # integrate on the operator alone, so a blockwise one frees the dense matrix
+    # integrate on the operator alone, so a blockwise one frees the dense matrix,
+    # and apply it as picked here, so the block pattern is scanned once
     op = laplacian_operator(lap)
     del lap
 
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [
         SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq))
-        for seed, result in zip(seeds, simulate_skt(skt, op, inits, cfg))
+        for seed, result in zip(seeds, integrate_batch(lambda y: rhs(y, skt, op), inits, cfg))
     ]
 
     if out_dir is not None:

@@ -406,9 +406,10 @@ class BlockLaplacian:
     a state's product does not depend on the others in a stack.
     """
 
-    def __init__(self, lap: np.ndarray):
+    def __init__(self, lap: np.ndarray, *, _blocks: tuple[int, np.ndarray] | None = None):
+        # _blocks: what _nonzero_blocks(lap) returns, when the caller has it
         n = lap.shape[0]
-        b, mask = _nonzero_blocks(lap)
+        b, mask = _nonzero_blocks(lap) if _blocks is None else _blocks
         nb, m = len(mask), int(mask.sum(axis=1).max())
         # a stable sort puts each block row's nonzero blocks first, in order
         cols = np.argsort(~mask, axis=1, kind="stable")[:, :m]
@@ -434,7 +435,7 @@ def laplacian_operator(lap: np.ndarray) -> np.ndarray | BlockLaplacian:
     b, mask = _nonzero_blocks(lap)
     if 4 * len(mask) * int(mask.sum(axis=1).max()) * b * b > lap.shape[0] ** 2:
         return lap
-    return BlockLaplacian(lap)
+    return BlockLaplacian(lap, _blocks=(b, mask))
 
 
 def degrees(g: Graph) -> np.ndarray:

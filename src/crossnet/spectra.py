@@ -50,8 +50,10 @@ def eig_symmetric(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        return np.linalg.eigvalsh(a)  # the empty spectrum
     # a NaN entry makes both operands NaN; max() would drop a lone second one
-    peak = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    peak = max(float(a.max()), -float(a.min()))
     if not math.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, peak)

@@ -169,21 +169,50 @@ def test_spectral_radius_estimate_settles_on_the_largest_eigenvalue():
     # on y' = z*y the Jacobian is diag(z); starting along the ones vector,
     # whose first probe sees only the RMS of z, the power iteration must
     # settle on max|z| = 100 and report 1.2 times it
-    from crossnet.dynamics import _Member, _estimate_spectral_radius
+    from crossnet.dynamics import _estimate_spectral_radius
 
     z = -np.concatenate((np.linspace(1.0, 50.0, 79), [100.0]))
     field = lambda y: y * z.reshape(2, -1)  # noqa: E731
     y = np.full((1, 80), 2.0)
-    m = _Member(y[0], IntegratorConfig())
-    m.rho_dir = np.ones(80)
-    _estimate_spectral_radius(field, [m], y, y * z, 0.0)
-    assert m.error is None and m.rho_age == 0
-    assert m.rho == pytest.approx(120.0, rel=1e-2)
-    assert 2 < m.evals <= 50
+    (rho,), direction, (probes,) = _estimate_spectral_radius(field, y, y * z, np.ones((1, 80)), 0.0)
+    assert rho == pytest.approx(120.0, rel=1e-2)
+    assert 2 < probes <= 50
     # the next estimate starts along the settled direction and needs two probes
-    m.evals = 0
-    _estimate_spectral_radius(field, [m], y, y * z, 0.0)
-    assert m.evals == 2 and m.rho == pytest.approx(120.0, rel=1e-2)
+    (again,), _, (probes,) = _estimate_spectral_radius(field, y, y * z, direction, 0.0)
+    assert probes == 2 and again == pytest.approx(120.0, rel=1e-2)
+
+
+def _oscillator(y):
+    # u' = 10 v, v' = -0.1 u: ||Ax|| / ||x|| alternates between 10 and 0.1
+    # along the power iteration, so the spectral radius estimate never settles
+    return np.stack((10.0 * y[:, 1], -0.1 * y[:, 0]), axis=1)
+
+
+def test_spectral_radius_estimate_that_does_not_settle_gives_no_estimate():
+    from crossnet.dynamics import _estimate_spectral_radius
+
+    y, f = np.array([[1.0, 1.0]]), np.array([[10.0, -0.1]])
+    (rho,), _, (probes,) = _estimate_spectral_radius(_oscillator, y, f, np.array([[1.0, 0.0]]), 0.0)
+    assert np.isnan(rho)
+    assert probes == 50
+
+
+def test_unsettled_spectral_radius_estimate_fails_the_run():
+    # at rel_tol 0.1 DOPRI5's steps grow until its stiffness test hands the
+    # oscillator over to RKC, whose first spectral radius estimate fails
+    cfg = IntegratorConfig(t_max=200.0, rel_tol=0.1, steady_state_tol=0.0)
+    early, late = np.ones((2, 1)), np.array([[1.0], [0.0]])
+
+    def failure_time(inits):
+        with pytest.raises(IntegrationError, match="spectral radius estimate did not converge") as err:
+            integrate_batch(_oscillator, inits, cfg)
+        return err.value.time
+
+    assert failure_time([early]) == pytest.approx(75.7219, abs=1e-4)
+    assert failure_time([late]) > failure_time([early])
+    # a batch raises its first member's failure, as one-by-one runs would
+    assert failure_time([early, late]) == failure_time([early])
+    assert failure_time([late, early]) == failure_time([late])
 
 
 # --------------------------------------------------------------- rhs pieces
@@ -416,6 +445,35 @@ def test_max_steps_stop_reason():
     assert not res.converged
     assert res.reason == "max_steps"
     assert res.steps_accepted <= 5
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(max_steps=1, steady_state_tol=0.999), IntegratorConfig(t_max=0.01, steady_state_tol=0.999)], ids=["max_steps", "t_max"])
+def test_steady_state_on_the_last_step_is_reported_as_steady_state(cfg):
+    # y' = -y from 1 takes one accepted step of h ~ 0.01 to a residual of
+    # 0.990, which meets the steady-state test on the step that also reaches
+    # the step or time limit; the state behind it runs on to that limit
+    solo = integrate_batch(lambda y: -y, [np.ones((2, 1))], cfg)
+    batch = integrate_batch(lambda y: -y, [np.ones((2, 1)), np.full((2, 1), 3.0)], cfg)
+    assert solo[0].reason == batch[0].reason == "steady_state"
+    assert solo[0].steps_accepted == batch[0].steps_accepted == 1
+    assert solo[0].t_final == batch[0].t_final == pytest.approx(0.01, rel=0.01)
+    assert batch[1].reason == ("max_steps" if cfg.max_steps == 1 else "t_max")
+
+
+def test_state_that_becomes_non_finite_on_the_last_step_raises():
+    # u' = 1e308 from u = 1.79e308 overflows on the first accepted step (the
+    # error norm ignores the infinite component), which is also the last one;
+    # up to |u| = 1e300 the field is y' = -y, past it (or at an overflowed
+    # stage) u' is 1e308
+    def field(y):
+        d = -y
+        d[:, 0] = np.where(np.abs(y[:, 0]) <= 1e300, d[:, 0], 1e308)
+        return d
+
+    init = np.array([[1.79e308], [1.0]])
+    for inits in ([init], [init, np.ones((2, 1))]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError, match="state became non-finite"):
+            integrate_batch(field, inits, IntegratorConfig(max_steps=1))
 
 
 def test_nonfinite_state_raises_with_time():

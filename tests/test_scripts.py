@@ -58,10 +58,15 @@ def test_pattern_simulations_writes_every_case(tmp_path):
             assert path.is_file() and path.stat().st_size > 0, path
 
 
-def test_bench_row_runner_on_a_tiny_command():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_row_runner_on_a_tiny_command():
+    bench = load_bench()
     argv = ["simulate", "--set", "graph.n=12", "--set", "graph.k=2", "--set", "integrator.t_max=1"]
     row = bench.run_row("tiny", argv, repeats=2)
     assert row["argv"] == argv
@@ -72,3 +77,10 @@ def test_bench_row_runner_on_a_tiny_command():
     assert counters["rhs_evaluations"] > counters["steps_accepted"] > 0
     with pytest.raises(RuntimeError, match="exited 2: .*n must be >= 1"):
         bench.run_once(["simulate", "--set", "graph.n=0"])
+
+
+def test_bench_member_step_row_on_a_tiny_batch():
+    row = load_bench().member_step_row(2, n=12, t_max=1.0, repeats=2)
+    assert row["name"] == "member-step-B2" and row["batch"] == 2
+    assert len(row["run_us"]) == 2 and row["member_steps"] > 0
+    assert row["us_per_member_step"] == min(row["run_us"]) / row["member_steps"]

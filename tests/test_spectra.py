@@ -99,6 +99,11 @@ def test_eig_symmetric_checks_with_one_working_copy():
     assert peak - before <= 1.1 * m.nbytes
 
 
+def test_eig_of_an_empty_matrix_is_the_empty_spectrum():
+    spectrum = eig_symmetric(np.zeros((0, 0)))
+    assert spectrum.shape == (0,) and spectrum.dtype == float
+
+
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         eig_symmetric(np.zeros((2, 3)))
