@@ -12,12 +12,19 @@ numpy and BLAS versions, the CPU count, the CPUs this process may use and
 the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
-It also times one integrator member-step in this process, at batch sizes
-B = 1, 8 and 64: the Erdos-Renyi graph with n = 100, p = 0.1 and graph seed
-1, on the dense Laplacian, t_max = 300, the perturbation seeds 0..B-1
-integrated in one ``integrate_batch``.  A row's value is the best of three
-runs in microseconds, divided by the accepted and rejected steps summed over
-the batch.
+In this process it also times, each row the best of three runs:
+
+- one integrator member-step at batch sizes B = 1, 8 and 64: the
+  Erdos-Renyi graph with n = 100, p = 0.1 and graph seed 1, on the dense
+  Laplacian, t_max = 300, the perturbation seeds 0..B-1 integrated in one
+  ``integrate_batch``; the row's value is microseconds divided by the
+  accepted and rejected steps summed over the batch;
+- one ``dynamics.rhs`` call on B = 1, 6 and 64 perturbed coexistence states
+  of a ring with k = 10 and n = 100, 1000 and 4000, once with the dense
+  Laplacian and once with the operator ``laplacian_operator`` picks (its
+  form is recorded); the row's value is microseconds per state;
+- ``laplacian_operator`` on the ring with n = 4000 and k = 10, from its
+  graph, in milliseconds.
 
 Usage: ``python3 scripts/bench.py LABEL`` writes ``BENCH_LABEL.json`` in the
 current directory.
@@ -31,7 +38,11 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
+
+# before numpy loads its BLAS; the child processes inherit it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -39,6 +50,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 REPEATS = 3
 MEMBER_STEP_BATCHES = (1, 8, 64)
+RHS_SIZES = (100, 1000, 4000)
+RHS_BATCHES = (1, 6, 64)
+RING_K = 10
 
 COMMANDS = {
     "simulate-default": ["simulate"],
@@ -79,7 +93,6 @@ def counters(out: Path) -> dict:
 def run_once(argv: list[str]) -> tuple[float, float, dict]:
     """Wall seconds, peak RSS in MB and work counters of one run in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         start = time.perf_counter()
@@ -122,10 +135,14 @@ def run_row(name: str, argv: list[str], repeats: int = REPEATS) -> dict:
     return row
 
 
-def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int = REPEATS) -> dict:
-    """Microseconds per integrator member-step, best of ``repeats`` in-process runs."""
+def _import_src() -> None:
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
+
+
+def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int = REPEATS) -> dict:
+    """Microseconds per integrator member-step, best of ``repeats`` in-process runs."""
+    _import_src()
     from crossnet.dynamics import IntegratorConfig, integrate_batch, perturb_homogeneous, rhs
     from crossnet.graphs import GraphSpec, build_graph, build_laplacian
     from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
@@ -149,6 +166,48 @@ def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int
         "member_steps": seen[0],
         "run_us": runs,
         "us_per_member_step": min(runs) / seen[0],
+    }
+
+
+def _best_s(call, repeats: int) -> float:
+    """Best seconds per call over ``repeats`` batches of calls that each take >= 0.2 s."""
+    timer = timeit.Timer(call)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeats, number=number)) / number
+
+
+def rhs_row(n: int, batch: int, dense: bool, k: int = RING_K, repeats: int = REPEATS) -> dict:
+    """Microseconds per state of one ``rhs`` call on ``batch`` states of the ring (n, k)."""
+    _import_src()
+    from crossnet.dynamics import perturb_homogeneous, rhs
+    from crossnet.graphs import build_laplacian, gen_ring, laplacian_operator
+    from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
+
+    g = gen_ring(n, k)
+    op = build_laplacian(g) if dense else laplacian_operator(g)
+    y = np.stack([perturb_homogeneous(equilibrium(p), n, 1e-2, seed) for seed in range(batch)])
+    return {
+        "name": f"rhs-n{n}-B{batch}-{'dense' if dense else 'operator'}",
+        "n": n,
+        "k": k,
+        "batch": batch,
+        "form": type(op).__name__,
+        "us_per_state": _best_s(lambda: rhs(y, p, op), repeats) / batch * 1e6,
+    }
+
+
+def operator_row(n: int = 4000, k: int = RING_K, repeats: int = REPEATS) -> dict:
+    """Milliseconds of ``laplacian_operator`` on the ring (n, k), from its graph."""
+    _import_src()
+    from crossnet.graphs import gen_ring, laplacian_operator
+
+    g = gen_ring(n, k)
+    return {
+        "name": f"laplacian-operator-n{n}",
+        "n": n,
+        "k": k,
+        "form": type(laplacian_operator(g)).__name__,
+        "ms": _best_s(lambda: laplacian_operator(g), repeats) * 1e3,
     }
 
 
@@ -188,6 +247,15 @@ def main(argv: list[str] | None = None) -> int:
         row = member_step_row(batch)
         print(f"{row['name']:<18} {row['us_per_member_step']:8.1f} us per member-step", flush=True)
         rows.append(row)
+    for n in RHS_SIZES:
+        for batch in RHS_BATCHES:
+            for dense in (True, False):
+                row = rhs_row(n, batch, dense)
+                print(f"{row['name']:<24} {row['us_per_state']:10.2f} us per state ({row['form']})", flush=True)
+                rows.append(row)
+    row = operator_row()
+    print(f"{row['name']:<24} {row['ms']:10.2f} ms ({row['form']})", flush=True)
+    rows.append(row)
     doc = {"label": label, "repeats": REPEATS, "machine": machine(), "source_lines": source_lines(), "rows": rows}
     path = Path(f"BENCH_{label}.json")
     path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -27,7 +27,7 @@ from math import isfinite, isnan, nan
 import numpy as np
 
 from .errors import IntegrationError, require_int, require_real
-from .graphs import laplacian_operator
+from .graphs import Graph, laplacian_operator
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
@@ -132,7 +132,7 @@ def rhs(y: np.ndarray, p: SktParams, lap: np.ndarray) -> np.ndarray:
     stack makes that one call with one (n, n) by (n, 2) product per state,
     so a state's derivative does not depend on the others in the stack, and
     no symmetry of ``lap`` is assumed; any operator with ``.shape`` and
-    ``@`` on (..., n, 2) stacks will do, e.g. a ``graphs.BlockLaplacian``.
+    ``@`` on (..., n, 2) stacks will do, e.g. ``graphs.laplacian_operator(g)``.
     ``reaction_terms`` and a term-by-term sum of the flux group the
     arithmetic differently, so they agree with this to rounding.
     """
@@ -594,12 +594,12 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         live = [j for j in live if not members[j].done]
 
 
-def simulate_skt(p: SktParams, lap: np.ndarray, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
-    """Integrate the competition model on ``lap`` from each state of ``inits`` in one batch.
+def simulate_skt(p: SktParams, g: Graph, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
+    """Integrate the competition model on graph ``g`` from each state of ``inits`` in one batch.
 
-    ``lap`` is applied in the form ``graphs.laplacian_operator`` picks.
+    The Laplacian of ``g`` is applied in the form ``graphs.laplacian_operator`` picks.
     """
-    op = laplacian_operator(lap)
+    op = laplacian_operator(g)
     return integrate_batch(lambda y: rhs(y, p, op), inits, cfg)
 
 
@@ -617,10 +617,8 @@ def perturb_homogeneous(
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if magnitude < 0:
-        raise ValueError(f"magnitude must be >= 0, got {magnitude}")
-    if magnitude >= 1.0:
-        raise ValueError(f"magnitude {magnitude} too large: must be < 1")
+    if not 0 <= magnitude < 1:
+        raise ValueError(f"magnitude must be >= 0 and < 1, got {magnitude}")
     rng = rng_from(seed)
     u = eq.u_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))
     v = eq.v_star * (1.0 + rng.uniform(-magnitude, magnitude, n_nodes))

@@ -17,14 +17,13 @@ from .dynamics import (
     IntegratorConfig,
     PatternMetrics,
     SimulationResult,
-    integrate_batch,
     pattern_metrics,
     perturb_homogeneous,
-    rhs,
+    simulate_skt,
     write_final_state_csv,
     write_trajectory_csv,
 )
-from .graphs import Graph, GraphSpec, build_graph, build_laplacian, laplacian_operator, write_edge_list
+from .graphs import Graph, GraphSpec, build_graph, build_laplacian, write_edge_list
 from .rng import derive_seed
 from .stability import (
     DEFAULT_SKT_PARAMS,
@@ -218,19 +217,14 @@ def simulate_and_report(
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     g = build_graph(graph_spec)
-    lap = build_laplacian(g)
-    eigenvalues = spectra.eig_symmetric(lap)
+    eigenvalues = spectra.eig_symmetric(build_laplacian(g))
     report = stability_report(skt, eigenvalues)
     eq = report.equilibrium
-    # integrate on the operator alone, so a blockwise one frees the dense matrix,
-    # and apply it as picked here, so the block pattern is scanned once
-    op = laplacian_operator(lap)
-    del lap
 
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [
         SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq))
-        for seed, result in zip(seeds, integrate_batch(lambda y: rhs(y, skt, op), inits, cfg))
+        for seed, result in zip(seeds, simulate_skt(skt, g, inits, cfg))
     ]
 
     if out_dir is not None:

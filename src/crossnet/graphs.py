@@ -53,9 +53,10 @@ def _norm(i: int, j: int) -> tuple[int, int]:
 
 def _canonical_edges(n: int, edges) -> np.ndarray:
     """Validated, canonical, read-only copy of ``edges`` (see ``Graph``)."""
-    arr = np.array(edges, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
+    arr = np.asarray(edges)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"edge labels must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64) if arr.size else np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
     i, j = arr[:, 0], arr[:, 1]
@@ -387,15 +388,17 @@ def build_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _nonzero_blocks(lap: np.ndarray) -> tuple[int, np.ndarray]:
-    """Block size b = ceil(sqrt(n)) and the mask of the b x b blocks of ``lap`` holding a nonzero."""
-    b = math.isqrt(lap.shape[0] - 1) + 1
-    starts = np.arange(0, lap.shape[0], b)
-    return b, np.logical_or.reduceat(np.logical_or.reduceat(lap != 0, starts, axis=0), starts, axis=1)
+def _block_mask(g: Graph) -> tuple[int, np.ndarray]:
+    """Block size b = ceil(sqrt(n)) and the mask of the b x b blocks of L holding an edge or a node with one."""
+    b = math.isqrt(g.n_nodes - 1) + 1
+    mask = np.zeros((-(-g.n_nodes // b),) * 2, dtype=bool)
+    i, j = g.edges.T // b
+    mask[i, j] = mask[j, i] = mask[i, i] = mask[j, j] = True
+    return b, mask
 
 
 class BlockLaplacian:
-    """An (n, n) matrix stored as its nonzero b x b blocks, b = ceil(sqrt(n)).
+    """The Laplacian of a graph stored as its nonzero b x b blocks, b = ceil(sqrt(n)).
 
     ``data[r]`` holds block row r (zero-padded past row n) as m blocks side
     by side: its nonzero blocks, then zero blocks up to m, the largest count
@@ -406,18 +409,23 @@ class BlockLaplacian:
     a state's product does not depend on the others in a stack.
     """
 
-    def __init__(self, lap: np.ndarray, *, _blocks: tuple[int, np.ndarray] | None = None):
-        # _blocks: what _nonzero_blocks(lap) returns, when the caller has it
-        n = lap.shape[0]
-        b, mask = _nonzero_blocks(lap) if _blocks is None else _blocks
+    def __init__(self, g: Graph):
+        n = g.n_nodes
+        b, mask = _block_mask(g)
         nb, m = len(mask), int(mask.sum(axis=1).max())
-        # a stable sort puts each block row's nonzero blocks first, in order
-        cols = np.argsort(~mask, axis=1, kind="stable")[:, :m]
-        col = (cols[:, :, None] * b + np.arange(b)).reshape(nb, 1, m * b)
-        row = np.arange(nb * b).reshape(nb, b, 1)
-        self.data = np.where((row < n) & (col < n), lap[np.minimum(row, n - 1), np.minimum(col, n - 1)], 0.0)
-        self.index = np.minimum(col, n - 1).ravel()
-        self.shape = lap.shape
+        # a stable sort puts each block row's nonzero blocks first, in order;
+        # slot[r, c] is the position of block column c in block row r
+        order = np.argsort(~mask, axis=1, kind="stable")
+        slot = np.argsort(order, axis=1)
+        self.index = np.minimum(order[:, :m, None] * b + np.arange(b), n - 1).ravel()
+        # the entries of L: -1 at (i, j) and (j, i) per edge, then the nonzero degrees
+        deg = degrees(g)
+        nodes = np.flatnonzero(deg)
+        rows, cols = np.concatenate((g.edges, g.edges[:, ::-1], np.column_stack((nodes, nodes)))).T
+        data = np.zeros((nb * b, m * b))
+        data[rows, slot[rows // b, cols // b] * b + cols % b] = np.concatenate((np.full(2 * g.n_edges, -1.0), deg[nodes]))
+        self.data = data.reshape(nb, b, m * b)
+        self.shape = (n, n)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-2] != self.shape[1]:
@@ -428,14 +436,14 @@ class BlockLaplacian:
         return (self.data @ gathered).reshape(stack + (nb * b, k))[..., : self.shape[0], :]
 
 
-def laplacian_operator(lap: np.ndarray) -> np.ndarray | BlockLaplacian:
-    """``lap`` as a ``BlockLaplacian`` if its blocks store at most a quarter
-    of the n^2 entries (rings and lattices from a few hundred nodes on),
-    else ``lap`` itself: the form the simulated right-hand side applies."""
-    b, mask = _nonzero_blocks(lap)
-    if 4 * len(mask) * int(mask.sum(axis=1).max()) * b * b > lap.shape[0] ** 2:
-        return lap
-    return BlockLaplacian(lap, _blocks=(b, mask))
+def laplacian_operator(g: Graph) -> np.ndarray | BlockLaplacian:
+    """The Laplacian of ``g`` as a ``BlockLaplacian`` if its blocks store at most
+    a quarter of the n^2 entries (rings and lattices from a few hundred nodes
+    on), else dense: the form the simulated right-hand side applies."""
+    b, mask = _block_mask(g)
+    if 4 * len(mask) * int(mask.sum(axis=1).max()) * b * b > g.n_nodes**2:
+        return build_laplacian(g)
+    return BlockLaplacian(g)
 
 
 def degrees(g: Graph) -> np.ndarray:

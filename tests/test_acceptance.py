@@ -202,12 +202,12 @@ def test_criterion_07_patterned_dynamics_abundance_shift():
     t0 = time.perf_counter()
     p = DEFAULT_SKT_PARAMS
     eq = equilibrium(p)
-    lap = build_laplacian(build_graph(GraphSpec(family="ring", n=100, k=10)))
+    g = build_graph(GraphSpec(family="ring", n=100, k=10))
     cfg = IntegratorConfig(steady_state_tol=1e-6, t_max=2000.0)
     du, dv = [], []
     for seed in range(5):
         init = perturb_homogeneous(eq, 100, magnitude=0.01, seed=seed)
-        res = simulate_skt(p, lap, [init], cfg)[0]
+        res = simulate_skt(p, g, [init], cfg)[0]
         m = pattern_metrics(res.final, eq)
         assert res.converged, f"seed {seed} did not converge: {res.reason}"
         assert m.heterogeneity > 1e-2, f"seed {seed} stayed homogeneous"
@@ -229,12 +229,12 @@ def test_criterion_08_no_cross_diffusion_control():
     t0 = time.perf_counter()
     p = dataclasses.replace(DEFAULT_SKT_PARAMS, d12=0.0, d21=0.0)
     eq = equilibrium(p)
-    lap = build_laplacian(build_graph(GraphSpec(family="ring", n=100, k=10)))
+    g = build_graph(GraphSpec(family="ring", n=100, k=10))
     cfg = IntegratorConfig(steady_state_tol=1e-7, t_max=500.0)
     worst = 0.0
     for seed in range(5):
         init = perturb_homogeneous(eq, 100, magnitude=0.01, seed=seed)
-        res = simulate_skt(p, lap, [init], cfg)[0]
+        res = simulate_skt(p, g, [init], cfg)[0]
         assert res.converged, f"seed {seed} did not converge: {res.reason}"
         worst = max(worst, pattern_metrics(res.final, eq).heterogeneity)
     elapsed = time.perf_counter() - t0
@@ -265,7 +265,7 @@ def test_criterion_09_positivity_randomized_runs():
             d11=float(rng.uniform(0, 0.5)), d22=float(rng.uniform(0, 0.5)),
         )
         init = np.array((rng.uniform(0.0, 3.0, g.n_nodes), rng.uniform(0.0, 3.0, g.n_nodes)))
-        res = simulate_skt(p, build_laplacian(g), [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-7))[0]
+        res = simulate_skt(p, g, [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-7))[0]
         if res.positivity_violated:
             failures.append(trial)
     elapsed = time.perf_counter() - t0
@@ -279,15 +279,15 @@ def test_criterion_10_linear_growth_rate_fit():
     t0 = time.perf_counter()
     p = DEFAULT_SKT_PARAMS
     eq = equilibrium(p)
-    lap = build_laplacian(build_graph(GraphSpec(family="ring", n=100, k=10)))
-    vals, vecs = np.linalg.eigh(lap)
+    g = build_graph(GraphSpec(family="ring", n=100, k=10))
+    vals, vecs = np.linalg.eigh(build_laplacian(g))
     rates = np.array([np.linalg.eigvals(eq.j_star - lam * eq.d_star).real.max() for lam in vals])
     imax = int(np.argmax(rates))
     predicted = float(rates[imax])
 
     init = perturb_homogeneous(eq, 100, magnitude=1e-4, seed=0)
     cfg = IntegratorConfig(t_max=120.0, steady_state_tol=1e-30, sample_dt=1.0)
-    res = simulate_skt(p, lap, [init], cfg)[0]
+    res = simulate_skt(p, g, [init], cfg)[0]
     times = res.times
     c = (res.traj[:, 0] - eq.u_star) @ vecs
     b = (res.traj[:, 1] - eq.v_star) @ vecs

@@ -12,7 +12,6 @@ import pytest
 
 from crossnet import (
     build_graph,
-    build_laplacian,
     equilibrium,
     pattern_metrics,
     perturb_homogeneous,
@@ -113,9 +112,9 @@ def test_stability_with_self_diffusion_matches_simulation(capsys, tmp_path):
     assert report["lambda_star_1"] is None
     cfg, _ = load_config(None, [override, "integrator.steady_state_tol=1e-6"])
     eq = equilibrium(cfg.skt)
-    lap = build_laplacian(build_graph(cfg.graph))
-    init = perturb_homogeneous(eq, lap.shape[0], cfg.experiment.perturbation, seed=0)
-    res = simulate_skt(cfg.skt, lap, [init], cfg.integrator)[0]
+    g = build_graph(cfg.graph)
+    init = perturb_homogeneous(eq, g.n_nodes, cfg.experiment.perturbation, seed=0)
+    res = simulate_skt(cfg.skt, g, [init], cfg.integrator)[0]
     assert res.converged
     assert pattern_metrics(res.final, eq).heterogeneity < 1e-4
 

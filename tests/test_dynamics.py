@@ -33,7 +33,7 @@ from crossnet import (
 )
 from crossnet import dynamics
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
-from crossnet.graphs import GraphSpec
+from crossnet.graphs import Graph, GraphSpec
 from crossnet.textio import fmt_float
 
 P = DEFAULT_SKT_PARAMS
@@ -55,9 +55,9 @@ def logistic_exact(u0: float, r: float, a: float, t: float) -> float:
 def test_single_node_logistic_matches_closed_form():
     p = SktParams(r1=1.3, r2=1.0, a1=0.7, a2=1.0, b1=0.0, b2=0.0)
     init = np.array([[0.2], [0.0]])
-    lap = np.zeros((1, 1))
+    g = Graph(1, [])
     cfg = IntegratorConfig(t_max=3.0, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [init], cfg)[0]
+    res = simulate_skt(p, g, [init], cfg)[0]
     expect = logistic_exact(0.2, 1.3, 0.7, 3.0)
     assert res.final[0, 0] == pytest.approx(expect, rel=1e-7)
     assert res.final[1, 0] == 0.0  # zero stays zero exactly
@@ -72,7 +72,7 @@ def test_pure_diffusion_matches_matrix_exponential():
     v0 = rng.uniform(0.5, 2.0, 16)
     t_end = 1.5
     cfg = IntegratorConfig(t_max=t_end, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [np.array((u0, v0))], cfg)[0]
+    res = simulate_skt(p, g, [np.array((u0, v0))], cfg)[0]
     vals, vecs = np.linalg.eigh(lap)
     decay = vecs @ np.diag(np.exp(-p.d * vals * t_end)) @ vecs.T
     assert np.allclose(res.final[0], decay @ u0, atol=1e-7)
@@ -81,13 +81,12 @@ def test_pure_diffusion_matches_matrix_exponential():
 
 def test_pure_diffusion_conserves_totals():
     g = gen_ring(12, 1)
-    lap = build_laplacian(g)
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=0.2, d12=1.0, d21=0.5)
     rng = np.random.default_rng(4)
     u0 = rng.uniform(0.5, 2.0, 12)
     v0 = rng.uniform(0.5, 2.0, 12)
     cfg = IntegratorConfig(t_max=2.0, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [np.array((u0, v0))], cfg)[0]
+    res = simulate_skt(p, g, [np.array((u0, v0))], cfg)[0]
     # transport terms are Laplacian images, so node totals are invariant
     assert res.final[0].sum() == pytest.approx(u0.sum(), rel=1e-10)
     assert res.final[1].sum() == pytest.approx(v0.sum(), rel=1e-10)
@@ -96,9 +95,8 @@ def test_pure_diffusion_conserves_totals():
 def test_homogeneous_equilibrium_converges_immediately():
     eq = equilibrium(P)
     g = gen_ring(10, 2)
-    lap = build_laplacian(g)
     init = np.array((np.full(10, eq.u_star), np.full(10, eq.v_star)))
-    res = simulate_skt(P, lap, [init], IntegratorConfig())[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig())[0]
     assert res.converged
     assert res.t_converged == 0.0
     assert np.array_equal(res.final[0], init[0])
@@ -109,12 +107,13 @@ def test_homogeneous_equilibrium_converges_immediately():
 def _stiff_diffusion(rel_tol: float, t_end: float = 5.0):
     """Pure diffusion on a ring whose fast modes make DP5 hand over to RKC,
     and its exact final state."""
-    lap = build_laplacian(gen_ring(50, 5))
+    g = gen_ring(50, 5)
+    lap = build_laplacian(g)
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=5.0)
     rng = np.random.default_rng(3)
     init = rng.uniform(0.5, 2.0, (2, 50))
     cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_max=t_end, steady_state_tol=1e-30)
-    res = simulate_skt(p, lap, [init], cfg)[0]
+    res = simulate_skt(p, g, [init], cfg)[0]
     vals, vecs = np.linalg.eigh(lap)
     return res, init @ (vecs @ np.diag(np.exp(-p.d * vals * t_end)) @ vecs.T)
 
@@ -400,13 +399,12 @@ def test_perturb_sample_moments():
 
 def test_perturb_magnitude_guard():
     eq = equilibrium(P)
-    with pytest.raises(ValueError, match="too large"):
-        perturb_homogeneous(eq, 10, magnitude=1.0)
+    for magnitude in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=rf"magnitude must be >= 0 and < 1, got {magnitude}"):
+            perturb_homogeneous(eq, 10, magnitude=magnitude)
     # the noise is relative: a magnitude above v* = 0.125 still keeps v positive
     s = perturb_homogeneous(eq, 1000, magnitude=0.9, seed=5)
     assert np.all(s[0] > 0) and np.all(s[1] > 0)
-    with pytest.raises(ValueError, match=">= 0"):
-        perturb_homogeneous(eq, 10, magnitude=-0.1)
 
 
 # ---------------------------------------------------------------- stepper
@@ -418,7 +416,7 @@ def test_converged_flag_is_sound():
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 30, magnitude=1e-2, seed=1)
     cfg = IntegratorConfig(steady_state_tol=1e-6)
-    res = simulate_skt(P, lap, [init], cfg)[0]
+    res = simulate_skt(P, g, [init], cfg)[0]
     assert res.converged
     du, dv = rhs(res.final, P, lap)
     assert res.final_residual == max(np.abs(du).max(), np.abs(dv).max()) <= cfg.steady_state_tol
@@ -427,10 +425,9 @@ def test_converged_flag_is_sound():
 
 def test_t_max_stop_reason():
     g = gen_ring(10, 2)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))[0]
     assert not res.converged
     assert res.reason == "t_max"
     assert res.t_final == pytest.approx(1.0, abs=1e-12)
@@ -438,10 +435,9 @@ def test_t_max_stop_reason():
 
 def test_max_steps_stop_reason():
     g = gen_ring(10, 2)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(max_steps=5, steady_state_tol=1e-30))[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig(max_steps=5, steady_state_tol=1e-30))[0]
     assert not res.converged
     assert res.reason == "max_steps"
     assert res.steps_accepted <= 5
@@ -511,12 +507,11 @@ def test_nonfinite_initial_state_raises_before_any_step():
 
 def test_integrator_deterministic():
     g = gen_ring(20, 3)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 20, magnitude=1e-2, seed=5)
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-30)
-    r1 = simulate_skt(P, lap, [init], cfg)[0]
-    r2 = simulate_skt(P, lap, [init], cfg)[0]
+    r1 = simulate_skt(P, g, [init], cfg)[0]
+    r2 = simulate_skt(P, g, [init], cfg)[0]
     assert np.array_equal(r1.final[0], r2.final[0])
     assert np.array_equal(r1.times, r2.times)
     assert r1.steps_accepted == r2.steps_accepted
@@ -525,12 +520,12 @@ def test_integrator_deterministic():
 def test_tighter_tolerance_reduces_error():
     p = SktParams(r1=1.3, r2=1.0, a1=0.7, a2=1.0, b1=0.0, b2=0.0)
     init = np.array([[0.2], [0.0]])
-    lap = np.zeros((1, 1))
+    g = Graph(1, [])
     expect = logistic_exact(0.2, 1.3, 0.7, 3.0)
     errs = []
     for rt in (1e-5, 1e-8, 1e-11):
         cfg = IntegratorConfig(rel_tol=rt, abs_tol=rt * 1e-2, t_max=3.0, steady_state_tol=1e-30)
-        res = simulate_skt(p, lap, [init], cfg)[0]
+        res = simulate_skt(p, g, [init], cfg)[0]
         errs.append(abs(res.final[0, 0] - expect))
     assert errs[0] > errs[2]
     assert errs[2] < 1e-10
@@ -538,10 +533,9 @@ def test_tighter_tolerance_reduces_error():
 
 def test_sampling_honors_sample_dt():
     g = gen_ring(10, 2)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=10.0, sample_dt=1.0, steady_state_tol=1e-30))[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig(t_max=10.0, sample_dt=1.0, steady_state_tol=1e-30))[0]
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(10.0, abs=1e-12)
     # grid-aligned sampling: at most one sample per sample_dt interval
@@ -579,10 +573,9 @@ def test_trajectory_buffer_is_bounded(monkeypatch):
 
 def test_positivity_check_and_flag():
     g = gen_ring(15, 2)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 15, magnitude=1e-2, seed=2)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))[0]
     assert not res.positivity_violated
 
 
@@ -622,15 +615,15 @@ def _assert_same_result(a, b):
 def test_batch_members_equal_their_solo_runs(n, k, t_max):
     # mixed perturbation sizes give the members different step counts and
     # fates (steady state or t_max), so they leave the batch at different steps
-    lap = build_laplacian(gen_ring(n, k))
+    g = gen_ring(n, k)
     eq = equilibrium(P)
     inits = [perturb_homogeneous(eq, n, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
     cfg = IntegratorConfig(t_max=t_max, steady_state_tol=1e-6)
-    solo = [simulate_skt(P, lap, [init], cfg)[0] for init in inits]
+    solo = [simulate_skt(P, g, [init], cfg)[0] for init in inits]
     assert len({r.steps_accepted for r in solo}) > 1
     assert {r.reason for r in solo} >= {"steady_state"}
     for members in ((3, 0), (0, 1, 2, 3, 4)):
-        batch = simulate_skt(P, lap, [inits[j] for j in members], cfg)
+        batch = simulate_skt(P, g, [inits[j] for j in members], cfg)
         assert len(batch) == len(members)
         for j, res in zip(members, batch):
             _assert_same_result(res, solo[j])
@@ -639,17 +632,17 @@ def test_batch_members_equal_their_solo_runs(n, k, t_max):
 def test_batch_mixing_rkc_and_dp5_members_equals_their_solo_runs():
     # by t = 20 three of these states have handed over to RKC, at different
     # times, and two have not; one of them converges
-    lap = build_laplacian(gen_ring(30, 3))
+    g = gen_ring(30, 3)
     eq = equilibrium(P)
     inits = [perturb_homogeneous(eq, 30, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
-    solo = [simulate_skt(P, lap, [init], cfg)[0] for init in inits]
+    solo = [simulate_skt(P, g, [init], cfg)[0] for init in inits]
     switched = [r.t_stiff is not None for r in solo]
     assert any(switched) and not all(switched)
     assert len({r.t_stiff for r in solo if r.t_stiff is not None}) > 1
     assert {r.reason for r in solo} == {"steady_state", "t_max"}
     for members in ((1, 0), (0, 1, 2, 3, 4), (4, 3)):
-        for j, res in zip(members, simulate_skt(P, lap, [inits[j] for j in members], cfg)):
+        for j, res in zip(members, simulate_skt(P, g, [inits[j] for j in members], cfg)):
             _assert_same_result(res, solo[j])
 
 
@@ -818,10 +811,9 @@ def test_pattern_metrics_known_values():
 
 def test_trajectory_csv_layout(tmp_path):
     g = gen_ring(4, 1)
-    lap = build_laplacian(g)
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 4, magnitude=1e-2, seed=0)
-    res = simulate_skt(P, lap, [init], IntegratorConfig(t_max=1.0, sample_dt=0.5, steady_state_tol=1e-30))[0]
+    res = simulate_skt(P, g, [init], IntegratorConfig(t_max=1.0, sample_dt=0.5, steady_state_tol=1e-30))[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(res, path)
     lines = path.read_text().strip().splitlines()

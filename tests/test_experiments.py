@@ -14,6 +14,7 @@ from crossnet import (
     build_laplacian,
     classify_modes,
     derive_seed,
+    dynamics,
     experiments,
     laplacian_operator,
     stability,
@@ -148,32 +149,6 @@ def test_simulate_and_report_builds_the_equilibrium_once(monkeypatch):
     assert len(runs) == 2
 
 
-@pytest.mark.parametrize("n, k, blockwise", [(400, 20, True), (30, 3, False)], ids=["blocks", "dense"])
-def test_simulate_and_report_scans_the_block_pattern_once(monkeypatch, n, k, blockwise):
-    # on either side of laplacian_operator's choice, the n x n nonzero-block
-    # scan runs once per command
-    from crossnet import graphs
-
-    scans = []
-    nonzero_blocks = graphs._nonzero_blocks
-
-    def counting(lap):
-        scans.append(lap.shape)
-        return nonzero_blocks(lap)
-
-    lap = build_laplacian(graphs.gen_ring(n, k))
-    own = BlockLaplacian(lap)
-    monkeypatch.setattr(graphs, "_nonzero_blocks", counting)
-    op = laplacian_operator(lap)
-    assert isinstance(op, BlockLaplacian) == blockwise and scans == [(n, n)]
-    if blockwise:
-        # the operator built from the chooser's scan is the one built from its own
-        assert np.array_equal(op.data, own.data) and np.array_equal(op.index, own.index)
-    scans.clear()
-    simulate_and_report(GraphSpec(family="ring", n=n, k=k), P, seeds=(0,), cfg=IntegratorConfig(t_max=0.1))
-    assert scans == [(n, n)]
-
-
 def test_simulate_and_report_drops_the_dense_laplacian_before_integrating(monkeypatch):
     # the ring n = 400, k = 20 is integrated on BlockLaplacian blocks, so the
     # dense matrix must be freed before the integration starts
@@ -185,7 +160,7 @@ def test_simulate_and_report_drops_the_dense_laplacian_before_integrating(monkey
     def tracked_laplacian(g):
         lap = build_laplacian(g)
         built.append(weakref.ref(lap))
-        assert isinstance(laplacian_operator(lap), BlockLaplacian)
+        assert isinstance(laplacian_operator(g), BlockLaplacian)
         return lap
 
     def integrate_batch(field, inits, cfg):
@@ -193,7 +168,7 @@ def test_simulate_and_report_drops_the_dense_laplacian_before_integrating(monkey
         raise Started
 
     monkeypatch.setattr(experiments, "build_laplacian", tracked_laplacian)
-    monkeypatch.setattr(experiments, "integrate_batch", integrate_batch)
+    monkeypatch.setattr(dynamics, "integrate_batch", integrate_batch)
     with pytest.raises(Started):
         simulate_and_report(GraphSpec(family="ring", n=400, k=20), P, seeds=(0,))
 

@@ -51,7 +51,7 @@ def test_graph_rejects_out_of_range():
 
 
 def _as_array(pairs):
-    return np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
+    return np.array(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
 
 
 @pytest.mark.parametrize("convert", [list, _as_array], ids=["tuples", "array"])
@@ -64,8 +64,10 @@ def _as_array(pairs):
         ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
         ([(1, 2), (0, 1), (2, 1)], r"duplicate edge \(1, 2\)"),
         ([(0, 1, 2)], "pairs"),
+        ([(0, 1.7)], "edge labels must be integers, got dtype float64"),
+        ([("0", "1")], "edge labels must be integers, got dtype <U1"),
     ],
-    ids=["self-loop", "out-of-range", "negative", "duplicate", "reversed-duplicate", "not-pairs"],
+    ids=["self-loop", "out-of-range", "negative", "duplicate", "reversed-duplicate", "not-pairs", "fractional", "strings"],
 )
 def test_graph_validation_messages(convert, pairs, message):
     with pytest.raises(ValueError, match=message):
@@ -448,44 +450,44 @@ def _assert_same_product(op, lap, rng):
         np.testing.assert_allclose(op @ x, lap @ x, rtol=1e-12, atol=1e-12 * scale)
 
 
+def _padded_block_graph():
+    """97 nodes in 10 x 10 blocks, the last block row short: block rows 0
+    and 7 are isolated nodes only, and the others hold 1 to 3 nonzero
+    blocks of random edges, so rows are padded."""
+    rng = np.random.default_rng(3)
+    edges = set()
+    for r, c in ((1, 1), (2, 3), (4, 5), (4, 6), (8, 9), (9, 9)):
+        for i in range(10 * r, min(10 * r + 10, 97)):
+            for j in range(10 * c, min(10 * c + 10, 97)):
+                if i != j and rng.random() < 0.3:
+                    edges.add((min(i, j), max(i, j)))
+    return Graph(97, sorted(edges))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 97, 400, 1000])
 def test_block_laplacian_matches_the_dense_product(n):
     rng = np.random.default_rng(n)
     specs = _specs_with_n_nodes(n)
     assert len(specs) == (1 if n == 1 else 4 if n == 2 else 6)
-    for spec in specs:
-        lap = build_laplacian(build_graph(spec))
-        _assert_same_product(BlockLaplacian(lap), lap, rng)
+    graphs = [build_graph(spec) for spec in specs]
+    if n == 97:
+        graphs.append(_padded_block_graph())
+        assert BlockLaplacian(graphs[-1]).data.shape == (10, 10, 3 * 10)
+    for g in graphs:
+        _assert_same_product(BlockLaplacian(g), build_laplacian(g), rng)
 
 
 @pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
 @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (9, 11), (20, 20), (25, 40)])
 def test_block_laplacian_matches_the_dense_product_on_lattices(kind, rows, cols):
-    lap = build_laplacian(gen_lattice(kind, rows, cols))
-    _assert_same_product(BlockLaplacian(lap), lap, np.random.default_rng(rows * cols))
-
-
-def test_block_laplacian_matches_a_random_asymmetric_block_sparse_matrix():
-    # n = 97 gives 10 x 10 blocks with a short last block row and column;
-    # block rows keep 0 to 3 random nonzero blocks, so rows are padded
-    rng = np.random.default_rng(3)
-    n, b = 97, 10
-    mat = np.zeros((n, n))
-    counts = [0, 1, 2, 3, 3, 1, 2, 0, 3, 2]
-    for r, count in enumerate(counts):
-        for c in rng.choice(10, size=count, replace=False):
-            block = mat[r * b:(r + 1) * b, c * b:(c + 1) * b]
-            block[...] = rng.normal(size=block.shape) * (rng.random(block.shape) < 0.5)
-    assert not np.allclose(mat, mat.T)
-    op = BlockLaplacian(mat)
-    assert op.data.shape == (10, 10, 3 * b)
-    _assert_same_product(op, mat, rng)
+    g = gen_lattice(kind, rows, cols)
+    _assert_same_product(BlockLaplacian(g), build_laplacian(g), np.random.default_rng(rows * cols))
 
 
 @pytest.mark.parametrize("n, k", [(97, 3), (400, 20)])
 def test_block_products_of_a_stack_equal_the_solo_products(n, k):
     # rhs passes the fluxes as a transposed (B, n, 2) view of (B, 2, n)
-    op = BlockLaplacian(build_laplacian(gen_ring(n, k)))
+    op = BlockLaplacian(gen_ring(n, k))
     flux = np.random.default_rng(n).uniform(0.1, 2.0, (6, 2, n))
     stacked = op @ flux.swapaxes(-1, -2)
     for state, product in zip(flux, stacked):
@@ -494,13 +496,46 @@ def test_block_products_of_a_stack_equal_the_solo_products(n, k):
 
 
 def test_laplacian_operator_keeps_the_dense_matrix_unless_blocks_pay():
-    ring100 = build_laplacian(gen_ring(100, 10))
-    er = build_laplacian(build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1)))
-    assert laplacian_operator(ring100) is ring100
-    assert laplacian_operator(er) is er
-    op = laplacian_operator(build_laplacian(gen_ring(400, 20)))
+    for g in (gen_ring(100, 10), build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1))):
+        op = laplacian_operator(g)
+        assert isinstance(op, np.ndarray) and np.array_equal(op, build_laplacian(g))
+    op = laplacian_operator(gen_ring(400, 20))
     assert isinstance(op, BlockLaplacian)
     assert op.data.shape == (20, 20, 60)  # three 20 x 20 blocks per block row
+
+
+@pytest.mark.parametrize(
+    "g, blockwise",
+    [
+        (gen_ring(100, 10), False),
+        (gen_ring(400, 20), True),
+        (gen_path(400), True),
+        (gen_lattice("square", 20, 20), True),
+        (gen_lattice("triangular", 20, 20), True),
+        (gen_lattice("hexagonal", 20, 20), True),
+        (gen_lattice("square", 3, 7), False),
+        (build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1)), False),
+        (build_graph(GraphSpec(family="erdos-renyi", n=50, p=0.0, seed=1)), True),
+        (build_graph(GraphSpec(family="erdos-renyi", n=2, p=0.0, seed=1)), True),
+        (build_graph(GraphSpec(family="watts-strogatz", n=400, k=3, p=0.1, seed=1)), False),
+        (build_graph(GraphSpec(family="regular-random", n=400, k=4, seed=1)), False),
+        (build_graph(GraphSpec(family="barabasi-albert", n=400, k=2, seed=1)), False),
+        (Graph(1, []), True),
+        (_padded_block_graph(), False),
+        (Graph(400, [(i, i + 1) for i in range(20, 399)]), True),
+    ],
+    ids=[
+        "ring100", "ring400", "path400", "square20", "triangular20", "hexagonal20", "square3x7",
+        "er400", "er50-edgeless", "er2-edgeless", "ws400", "regular400", "ba400", "single-node",
+        "isolated-blocks97", "isolated-block400",
+    ],
+)
+def test_laplacian_operator_is_exactly_the_laplacian(g, blockwise):
+    # every product term is an exact integer times 0 or 1, so the products
+    # with the identity are exact; a block of isolated nodes stores nothing
+    op = laplacian_operator(g)
+    assert isinstance(op, BlockLaplacian) == blockwise
+    assert np.array_equal(op @ np.eye(g.n_nodes), build_laplacian(g))
 
 
 # ------------------------------------------------------------------- edge I/O

@@ -84,3 +84,14 @@ def test_bench_member_step_row_on_a_tiny_batch():
     assert row["name"] == "member-step-B2" and row["batch"] == 2
     assert len(row["run_us"]) == 2 and row["member_steps"] > 0
     assert row["us_per_member_step"] == min(row["run_us"]) / row["member_steps"]
+
+
+def test_bench_rhs_and_operator_rows_on_a_tiny_ring():
+    bench = load_bench()
+    dense = bench.rhs_row(12, 2, dense=True, k=2, repeats=2)
+    assert dense["name"] == "rhs-n12-B2-dense" and dense["form"] == "ndarray"
+    assert dense["batch"] == 2 and dense["us_per_state"] > 0
+    picked = bench.rhs_row(12, 2, dense=False, k=2, repeats=2)
+    assert picked["name"] == "rhs-n12-B2-operator" and picked["form"] in ("ndarray", "BlockLaplacian")
+    row = bench.operator_row(n=400, k=20, repeats=2)
+    assert row["name"] == "laplacian-operator-n400" and row["form"] == "BlockLaplacian" and row["ms"] > 0
