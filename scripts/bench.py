@@ -61,6 +61,10 @@ COMMANDS = {
         "--set", "integrator.steady_state_tol=1e-6", "--set", "integrator.sample_dt=10",
         "--set", "experiment.seeds=[0,1,2,3,4,5]",
     ],
+    # no mode is unstable, so the perturbation decays; steady at t ~ 39.9
+    "simulate-decay": [
+        "simulate", "--set", "skt.d11=0.5", "--set", "skt.d22=0.2", "--set", "graph.n=30", "--set", "graph.k=3",
+    ],
     "stability": ["stability"],
     "stability-n4000": ["stability", "--set", "graph.n=4000"],
     "ensemble-er100": [

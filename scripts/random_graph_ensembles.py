@@ -53,8 +53,6 @@ def main() -> None:
                 realizations=args.realizations,
                 master_seed=args.master_seed,
             )
-            for value in spec.values:
-                spec.spec_at(value)
         except ValueError as exc:
             ap.error(str(exc))
         specs[family] = spec

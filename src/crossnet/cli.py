@@ -3,8 +3,10 @@
 Subcommands map one-to-one onto the library layers: ``graph gen``,
 ``spectrum``, ``stability``, ``simulate``, ``ensemble`` and ``config dump``.
 Every run writes a manifest next to its outputs so that the exact inputs can
-be reconstructed later.  Failures print a single-line JSON diagnostic to
-stdout and exit with 2 (configuration), 3 (numerical/domain) or 4 (I/O).
+be reconstructed later; a command computes everything before it writes its
+directory, so a failed command leaves none.  Failures print a single-line
+JSON diagnostic to stdout and exit with 2 (configuration), 3
+(numerical/domain) or 4 (I/O).
 """
 from __future__ import annotations
 
@@ -18,15 +20,9 @@ import numpy as np
 from . import experiments
 from .config import RunConfig, load_config
 from .errors import ConfigError, CrossnetError
-from .graphs import (
-    RANDOM_FAMILIES,
-    build_graph,
-    build_laplacian,
-    write_edge_list,
-)
-from .spectra import eig_symmetric, write_spectrum_csv
+from .graphs import RANDOM_FAMILIES, build_graph, build_laplacian
+from .spectra import eig_symmetric
 from .stability import report_to_dict, stability_report
-from .textio import write_json
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -84,69 +80,46 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_graph_gen(cfg: RunConfig, doc: dict) -> int:
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
-    edge_path = os.path.join(out, "graph.txt")
-    write_edge_list(g, edge_path)
-    experiments.write_manifest(
-        os.path.join(out, "manifest.json"),
-        graph=cfg.graph,
-        master_seed=cfg.master_seed,
-        extra={"command": "graph gen", "n_nodes": g.n_nodes, "n_edges": g.n_edges},
-    )
-    _emit({"output_dir": out, "n_nodes": g.n_nodes, "n_edges": g.n_edges, "files": ["graph.txt", "manifest.json"]})
+    extra = {"command": "graph gen", "n_nodes": g.n_nodes, "n_edges": g.n_edges}
+    manifest = experiments.run_manifest(cfg.graph, master_seed=cfg.master_seed, extra=extra)
+    files = experiments.write_run(cfg.output_dir, manifest, graph=g)
+    _emit({"output_dir": cfg.output_dir, "n_nodes": g.n_nodes, "n_edges": g.n_edges, "files": files})
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
     eigenvalues = eig_symmetric(build_laplacian(g))
-    write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
-    write_edge_list(g, os.path.join(out, "graph.txt"))
-    experiments.write_manifest(
-        os.path.join(out, "manifest.json"),
-        graph=cfg.graph,
-        master_seed=cfg.master_seed,
-        extra={"command": "spectrum", "n_nodes": g.n_nodes, "n_edges": g.n_edges},
-    )
+    extra = {"command": "spectrum", "n_nodes": g.n_nodes, "n_edges": g.n_edges}
+    manifest = experiments.run_manifest(cfg.graph, master_seed=cfg.master_seed, extra=extra)
+    files = experiments.write_run(cfg.output_dir, manifest, eigenvalues=eigenvalues, graph=g)
     _emit(
         {
-            "output_dir": out,
+            "output_dir": cfg.output_dir,
             "n_nodes": g.n_nodes,
             "min_eigenvalue": eigenvalues[0],
             "max_eigenvalue": eigenvalues[-1],
-            "files": ["spectrum.csv", "graph.txt", "manifest.json"],
+            "files": files,
         }
     )
     return 0
 
 
 def cmd_stability(cfg: RunConfig, doc: dict) -> int:
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     g = build_graph(cfg.graph)
     eigenvalues = eig_symmetric(build_laplacian(g))
-    report = stability_report(cfg.skt, eigenvalues)
-    payload = report_to_dict(report)
-    write_json(os.path.join(out, "report.json"), payload)
-    write_spectrum_csv(eigenvalues, os.path.join(out, "spectrum.csv"))
-    experiments.write_manifest(
-        os.path.join(out, "manifest.json"),
-        graph=cfg.graph,
-        skt=cfg.skt,
-        master_seed=cfg.master_seed,
-        extra={"command": "stability"},
-    )
+    payload = report_to_dict(stability_report(cfg.skt, eigenvalues))
+    manifest = experiments.run_manifest(cfg.graph, skt=cfg.skt, master_seed=cfg.master_seed,
+                                        extra={"command": "stability"})
+    files = experiments.write_run(cfg.output_dir, manifest, report=payload, eigenvalues=eigenvalues)
     _emit(
         {
-            "output_dir": out,
+            "output_dir": cfg.output_dir,
             "unstable_modes": payload["unstable_modes"],
             "lambda_star_1": payload["lambda_star_1"],
             "lambda_star_2": payload["lambda_star_2"],
-            "files": ["report.json", "spectrum.csv", "manifest.json"],
+            "files": files,
         }
     )
     return 0
@@ -203,20 +176,11 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
     )
     threads = exp.threads if exp.threads is not None else os.cpu_count()
     rows = experiments.ensemble_report(sweep, threads=threads)
-    os.makedirs(out, exist_ok=True)
     experiments.write_ensemble_report(sweep, rows, out)
-    experiments.write_manifest(
-        os.path.join(out, "manifest.json"),
-        graph=cfg.graph,
-        skt=cfg.skt,
-        master_seed=cfg.master_seed,
-        extra={
-            "command": "ensemble",
-            "swept": swept,
-            "values": list(values),
-            "realizations": exp.realizations,
-        },
-    )
+    manifest = experiments.run_manifest(cfg.graph, skt=cfg.skt, master_seed=cfg.master_seed, extra={
+        "command": "ensemble", "swept": swept, "values": list(values), "realizations": exp.realizations,
+    })
+    files = ["ensemble.csv", "summary.csv", *experiments.write_run(out, manifest)]
     _emit(
         {
             "output_dir": out,
@@ -228,7 +192,7 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
                 }
                 for row in rows
             ],
-            "files": ["ensemble.csv", "summary.csv", "manifest.json"],
+            "files": files,
         }
     )
     return 0

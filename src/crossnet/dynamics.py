@@ -615,6 +615,7 @@ def perturb_homogeneous(
     independently for both species.  The noise is relative, so a magnitude
     below 1 keeps every perturbed density positive whatever u* and v* are.
     """
+    require_int("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if not 0 <= magnitude < 1:

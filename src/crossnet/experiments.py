@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,11 +24,11 @@ from .dynamics import (
     write_final_state_csv,
     write_trajectory_csv,
 )
+from .errors import require_int
 from .graphs import Graph, GraphSpec, build_graph, build_laplacian, write_edge_list
 from .rng import derive_seed
 from .stability import (
     DEFAULT_SKT_PARAMS,
-    InstabilityReport,
     SktParams,
     classify_modes,
     report_to_dict,
@@ -49,7 +50,8 @@ __all__ = [
     "write_ring_sweep",
     "write_lattice_comparison",
     "write_ensemble_report",
-    "write_manifest",
+    "run_manifest",
+    "write_run",
 ]
 
 # degree-type parameters are also reported as half-degree, matching the
@@ -78,8 +80,15 @@ class SweepSpec:
             raise ValueError(f"swept must be 'k', 'n' or 'p', got {self.swept!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
+        require_int("realizations", self.realizations)
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        # a value that makes no graph fails here, not after the values before it ran
+        for j, value in enumerate(self.values):
+            try:
+                self.spec_at(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"values[{j}] must be a valid {self.swept}: {exc}") from exc
 
     def spec_at(self, value) -> GraphSpec:
         return replace(self.base, **{self.swept: value})
@@ -208,11 +217,10 @@ def simulate_and_report(
 
     One run per perturbation seed on a single graph realization; the runs
     are integrated as one batch, and each run's result is the one it gets
-    alone.  With
-    ``out_dir`` set, writes the canonical file set (manifest.json,
-    spectrum.csv, report.json, trajectory.csv, final_state.csv); multi-seed
-    runs place the per-seed CSVs in ``seed_<s>/`` subdirectories, so
-    repeated seeds raise ValueError before anything is integrated or written.
+    alone.  With ``out_dir`` set, the run directory is written by
+    ``write_run`` once every run is done; multi-seed runs place the per-seed
+    CSVs in ``seed_<s>/`` subdirectories, so repeated seeds raise ValueError
+    before anything is integrated or written.
     """
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
@@ -228,7 +236,18 @@ def simulate_and_report(
     ]
 
     if out_dir is not None:
-        _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, eigenvalues, report, runs)
+        payload = report_to_dict(report)
+        payload["runs"] = [_run_summary(r) for r in runs]
+        manifest = run_manifest(graph_spec, skt=skt, integrator=cfg, extra={
+            "perturbation": perturbation,
+            "seeds": [r.seed for r in runs],
+            "convergence": [
+                {"seed": r.seed, "converged": r.result.converged, "t_converged": r.result.t_converged}
+                for r in runs
+            ],
+            "metrics": [dataclasses.asdict(r.metrics) for r in runs],
+        })
+        write_run(out_dir, manifest, report=payload, eigenvalues=eigenvalues, graph=g, runs=runs)
     return runs
 
 
@@ -250,42 +269,10 @@ def _run_summary(run: SeedRunResult) -> dict:
     }
 
 
-def _write_simulation_dir(out_dir, graph_spec, g, skt, cfg, perturbation, eigenvalues, report, runs):
-    os.makedirs(out_dir, exist_ok=True)
-    spectra.write_spectrum_csv(eigenvalues, os.path.join(out_dir, "spectrum.csv"))
-    write_edge_list(g, os.path.join(out_dir, "graph.txt"))
-    payload = report_to_dict(report)
-    payload["runs"] = [_run_summary(r) for r in runs]
-    write_json(os.path.join(out_dir, "report.json"), payload)
-    write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        graph=graph_spec,
-        skt=skt,
-        integrator=cfg,
-        extra={
-            "perturbation": perturbation,
-            "seeds": [r.seed for r in runs],
-            "convergence": [
-                {"seed": r.seed, "converged": r.result.converged, "t_converged": r.result.t_converged}
-                for r in runs
-            ],
-            "metrics": [dataclasses.asdict(r.metrics) for r in runs],
-        },
-    )
-    for run in runs:
-        sub = out_dir if len(runs) == 1 else os.path.join(out_dir, f"seed_{run.seed}")
-        os.makedirs(sub, exist_ok=True)
-        write_trajectory_csv(run.result, os.path.join(sub, "trajectory.csv"))
-        write_final_state_csv(run.result.final, os.path.join(sub, "final_state.csv"))
-
-
-def write_manifest(path, graph: GraphSpec | None = None, skt: SktParams | None = None,
-                   integrator: IntegratorConfig | None = None, master_seed: int | None = None,
-                   extra: dict | None = None) -> None:
-    """JSON run manifest; content is deterministic (no timestamps)."""
-    doc: dict = {}
-    if graph is not None:
-        doc["graph"] = dataclasses.asdict(graph)
+def run_manifest(graph: GraphSpec, skt: SktParams | None = None, integrator: IntegratorConfig | None = None,
+                 master_seed: int | None = None, extra: dict | None = None) -> dict:
+    """JSON-ready run manifest; content is deterministic (no timestamps)."""
+    doc: dict = {"graph": dataclasses.asdict(graph)}
     if skt is not None:
         doc["skt"] = dataclasses.asdict(skt)
     if integrator is not None:
@@ -294,7 +281,40 @@ def write_manifest(path, graph: GraphSpec | None = None, skt: SktParams | None =
         doc["master_seed"] = master_seed
     if extra:
         doc.update(extra)
-    write_json(path, doc)
+    return doc
+
+
+def write_run(out_dir, manifest: dict, *, report: dict | None = None, eigenvalues: np.ndarray | None = None,
+              graph: Graph | None = None, runs: Sequence[SeedRunResult] = ()) -> list[str]:
+    """Write a computed run to ``out_dir``; returns the names of its top-level files.
+
+    Writes ``report.json``, ``spectrum.csv`` and ``graph.txt`` for whichever
+    of ``report``, ``eigenvalues`` and ``graph`` is given, then
+    ``manifest.json``, then each run's ``trajectory.csv`` and
+    ``final_state.csv``, in ``seed_<s>/`` when there are several runs.
+    Callers compute everything first and call this last, so a command that
+    fails while computing leaves no directory.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    files = []
+
+    def top(name):
+        files.append(name)
+        return os.path.join(out_dir, name)
+
+    if report is not None:
+        write_json(top("report.json"), report)
+    if eigenvalues is not None:
+        spectra.write_spectrum_csv(eigenvalues, top("spectrum.csv"))
+    if graph is not None:
+        write_edge_list(graph, top("graph.txt"))
+    write_json(top("manifest.json"), manifest)
+    for run in runs:
+        sub = out_dir if len(runs) == 1 else os.path.join(out_dir, f"seed_{run.seed}")
+        os.makedirs(sub, exist_ok=True)
+        write_trajectory_csv(run.result, os.path.join(sub, "trajectory.csv"))
+        write_final_state_csv(run.result.final, os.path.join(sub, "final_state.csv"))
+    return files + ["trajectory.csv", "final_state.csv"] if len(runs) == 1 else files
 
 
 def write_ring_sweep(rows: list[RingSweepRow], out_dir: str) -> None:

@@ -96,6 +96,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
+        require_int("n_nodes", self.n_nodes)
         if self.n_nodes < 1:
             raise ValueError(f"graph needs at least one node, got {self.n_nodes}")
         object.__setattr__(self, "edges", _canonical_edges(self.n_nodes, self.edges))

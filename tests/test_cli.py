@@ -226,6 +226,24 @@ def test_repeated_seeds_are_a_config_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+_DISCONNECTED = ("--set", "graph.family=erdos-renyi", "--set", "graph.n=30", "--set", "graph.p=0.01",
+                 "--set", "graph.require_connected=true")
+
+
+@pytest.mark.parametrize("args", [
+    ("graph", "gen", *_DISCONNECTED),
+    ("spectrum", *_DISCONNECTED),
+    ("stability", "--set", "skt.b1=4", "--set", "skt.b2=4"),
+], ids=["graph-gen", "spectrum", "stability"])
+def test_a_numerical_failure_leaves_no_output_directory(capsys, tmp_path, args):
+    # the directory is written only once everything is computed
+    out_dir = tmp_path / "failed"
+    code, out = run_cli(capsys, *args, "--output-dir", str(out_dir))
+    assert code == 3, out
+    assert json.loads(out)["error"] == "numerical"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("assignment", [
     "integrator.rel_tol=NaN", "integrator.abs_tol=NaN", "integrator.t_max=NaN",
     "integrator.steady_state_tol=NaN", "integrator.sample_dt=NaN",

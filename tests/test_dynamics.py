@@ -402,6 +402,9 @@ def test_perturb_magnitude_guard():
     for magnitude in (1.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match=rf"magnitude must be >= 0 and < 1, got {magnitude}"):
             perturb_homogeneous(eq, 10, magnitude=magnitude)
+    for n_nodes in (2.5, True):
+        with pytest.raises(ValueError, match=f"n_nodes must be an integer, got {n_nodes}"):
+            perturb_homogeneous(eq, n_nodes)
     # the noise is relative: a magnitude above v* = 0.125 still keeps v positive
     s = perturb_homogeneous(eq, 1000, magnitude=0.9, seed=5)
     assert np.all(s[0] > 0) and np.all(s[1] > 0)

@@ -11,10 +11,12 @@ from crossnet import (
     DEFAULT_SKT_PARAMS,
     GraphSpec,
     IntegratorConfig,
+    build_graph,
     build_laplacian,
     classify_modes,
     derive_seed,
     dynamics,
+    eig_symmetric,
     experiments,
     laplacian_operator,
     stability,
@@ -26,9 +28,10 @@ from crossnet.experiments import (
     ring_sweep,
     simulate_and_report,
     write_ensemble_report,
+    run_manifest,
     write_lattice_comparison,
-    write_manifest,
     write_ring_sweep,
+    write_run,
 )
 from crossnet.spectra import ensemble_eigenvalues
 
@@ -57,6 +60,21 @@ def test_sweep_spec_at_replaces_only_swept_field():
     sweep = SweepSpec(base=base, swept="k", values=(3, 7), skt=P)
     assert sweep.spec_at(3).k == 3
     assert sweep.spec_at(3).n == 100
+
+
+@pytest.mark.parametrize("realizations", [True, 2.5])
+def test_sweep_spec_rejects_non_integer_realizations(realizations):
+    base = GraphSpec(family="erdos-renyi", n=20, p=0.1)
+    with pytest.raises(ValueError, match=f"realizations must be an integer, got {realizations}"):
+        SweepSpec(base=base, swept="p", values=(0.1,), realizations=realizations)
+
+
+def test_sweep_spec_rejects_a_value_that_makes_no_graph_before_any_run():
+    # the bad value is the last one, so a check made while running would
+    # first compute the ensembles of the values before it
+    base = GraphSpec(family="erdos-renyi", n=100, p=0.1)
+    with pytest.raises(ValueError, match=r"values\[2\] must be a valid p: p must lie in \[0, 1\]"):
+        SweepSpec(base=base, swept="p", values=(0.1, 0.2, 1.5), realizations=200)
 
 
 def test_lattice_comparison_frozen_counts():
@@ -230,17 +248,30 @@ def test_report_json_run_counters(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_manifest_contents(tmp_path):
-    path = tmp_path / "manifest.json"
-    write_manifest(path, graph=GraphSpec(family="ring", n=10, k=2), skt=P,
-                   master_seed=5, extra={"command": "test"})
-    doc = json.loads(path.read_text())
+def test_manifest_contents():
+    doc = run_manifest(GraphSpec(family="ring", n=10, k=2), skt=P, master_seed=5, extra={"command": "test"})
+    assert list(doc) == ["graph", "skt", "master_seed", "command"]
     assert doc["graph"]["family"] == "ring"
     assert doc["skt"]["r1"] == 5.0
     assert doc["master_seed"] == 5
     assert doc["command"] == "test"
     # manifests must be replayable: no wall-clock or host fields
     assert "timestamp" not in doc and "host" not in doc
+
+
+@pytest.mark.parametrize("given, names", [
+    (("graph",), ["graph.txt", "manifest.json"]),
+    (("eigenvalues", "graph"), ["spectrum.csv", "graph.txt", "manifest.json"]),
+    (("report", "eigenvalues"), ["report.json", "spectrum.csv", "manifest.json"]),
+], ids=["graph-gen", "spectrum", "stability"])
+def test_write_run_returns_its_files_in_write_order(tmp_path, given, names):
+    g = build_graph(GraphSpec(family="ring", n=10, k=2))
+    parts = {"graph": g, "eigenvalues": eig_symmetric(build_laplacian(g)), "report": {"unstable_modes": []}}
+    out = tmp_path / "run"
+    files = write_run(str(out), {"command": "test"}, **{key: parts[key] for key in given})
+    assert files == names
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert json.loads((out / "manifest.json").read_text()) == {"command": "test"}
 
 
 def test_write_ring_sweep_files(tmp_path):

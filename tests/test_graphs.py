@@ -56,22 +56,25 @@ def _as_array(pairs):
 
 @pytest.mark.parametrize("convert", [list, _as_array], ids=["tuples", "array"])
 @pytest.mark.parametrize(
-    "pairs,message",
+    "n_nodes,pairs,message",
     [
-        ([(0, 1), (2, 2)], "self-loop at node 2"),
-        ([(0, 1), (1, 3)], r"edge \(1, 3\) out of range for 3 nodes"),
-        ([(0, 1), (-1, 2)], r"edge \(-1, 2\) out of range for 3 nodes"),
-        ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
-        ([(1, 2), (0, 1), (2, 1)], r"duplicate edge \(1, 2\)"),
-        ([(0, 1, 2)], "pairs"),
-        ([(0, 1.7)], "edge labels must be integers, got dtype float64"),
-        ([("0", "1")], "edge labels must be integers, got dtype <U1"),
+        (3, [(0, 1), (2, 2)], "self-loop at node 2"),
+        (3, [(0, 1), (1, 3)], r"edge \(1, 3\) out of range for 3 nodes"),
+        (3, [(0, 1), (-1, 2)], r"edge \(-1, 2\) out of range for 3 nodes"),
+        (3, [(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+        (3, [(1, 2), (0, 1), (2, 1)], r"duplicate edge \(1, 2\)"),
+        (3, [(0, 1, 2)], "pairs"),
+        (3, [(0, 1.7)], "edge labels must be integers, got dtype float64"),
+        (3, [("0", "1")], "edge labels must be integers, got dtype <U1"),
+        (2.5, [(0, 1)], "n_nodes must be an integer, got 2.5"),
+        (True, [], "n_nodes must be an integer, got True"),
     ],
-    ids=["self-loop", "out-of-range", "negative", "duplicate", "reversed-duplicate", "not-pairs", "fractional", "strings"],
+    ids=["self-loop", "out-of-range", "negative", "duplicate", "reversed-duplicate", "not-pairs", "fractional",
+         "strings", "fractional-node-count", "boolean-node-count"],
 )
-def test_graph_validation_messages(convert, pairs, message):
+def test_graph_validation_messages(convert, n_nodes, pairs, message):
     with pytest.raises(ValueError, match=message):
-        Graph(3, convert(pairs))
+        Graph(n_nodes, convert(pairs))
 
 
 @pytest.mark.parametrize("convert", [list, _as_array], ids=["tuples", "array"])
