@@ -12,6 +12,14 @@ numpy and BLAS versions, the CPU count, the CPUs this process may use and
 the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
+The six-seed ring400 ``simulate`` runs twice, on its default workers (one
+forked process per CPU, at most one per seed) and with
+``experiment.threads=1``; ``ru_maxrss`` of ``os.wait4`` covers the reaped
+workers too, as the largest single peak, not a sum.  The row
+``parallel-efficiency-ring400`` records the speed-up of the default over
+one worker, the ratio of their median walls, and that speed-up divided by
+the number of workers.
+
 In this process it also times, each row the best of three runs:
 
 - one integrator member-step at batch sizes B = 1, 8 and 64: the
@@ -54,13 +62,16 @@ RHS_SIZES = (100, 1000, 4000)
 RHS_BATCHES = (1, 6, 64)
 RING_K = 10
 
+RING400 = [
+    "simulate", "--set", "graph.n=400", "--set", "graph.k=20",
+    "--set", "integrator.steady_state_tol=1e-6", "--set", "integrator.sample_dt=10",
+    "--set", "experiment.seeds=[0,1,2,3,4,5]",
+]
 COMMANDS = {
     "simulate-default": ["simulate"],
-    "simulate-ring400": [
-        "simulate", "--set", "graph.n=400", "--set", "graph.k=20",
-        "--set", "integrator.steady_state_tol=1e-6", "--set", "integrator.sample_dt=10",
-        "--set", "experiment.seeds=[0,1,2,3,4,5]",
-    ],
+    "simulate-ring400": RING400,
+    # the same command on one worker, for the parallel-efficiency row
+    "simulate-ring400-threads1": [*RING400, "--set", "experiment.threads=1"],
     # no mode is unstable, so the perturbation decays; steady at t ~ 39.9
     "simulate-decay": [
         "simulate", "--set", "skt.d11=0.5", "--set", "skt.d22=0.2", "--set", "graph.n=30", "--set", "graph.k=3",
@@ -142,6 +153,17 @@ def run_row(name: str, argv: list[str], repeats: int = REPEATS) -> dict:
 def _import_src() -> None:
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
+
+
+def efficiency_row(rows: list[dict]) -> dict:
+    """Speed-up and parallel efficiency of the six-seed ring400 command on its
+    default workers (one per CPU, at most one per seed) against one worker."""
+    wall = {row["name"]: row["median_wall_s"] for row in rows}
+    seeds = next(row["counters"]["runs"] for row in rows if row["name"] == "simulate-ring400")
+    workers = min(os.cpu_count() or 1, seeds)
+    speedup = wall["simulate-ring400-threads1"] / wall["simulate-ring400"]
+    return {"name": "parallel-efficiency-ring400", "workers": workers,
+            "speedup": speedup, "efficiency": speedup / workers}
 
 
 def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int = REPEATS) -> dict:
@@ -247,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
         row = run_row(name, command)
         print(f"{name:<18} {row['median_wall_s']:8.3f} s {row['median_peak_rss_mb']:8.1f} MB", flush=True)
         rows.append(row)
+    row = efficiency_row(rows)
+    print(f"{row['name']:<18} {row['speedup']:8.2f} x on {row['workers']} workers, "
+          f"efficiency {row['efficiency']:.2f}", flush=True)
+    rows.append(row)
     for batch in MEMBER_STEP_BATCHES:
         row = member_step_row(batch)
         print(f"{row['name']:<18} {row['us_per_member_step']:8.1f} us per member-step", flush=True)

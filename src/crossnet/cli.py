@@ -125,6 +125,11 @@ def cmd_stability(cfg: RunConfig, doc: dict) -> int:
     return 0
 
 
+def _workers(cfg: RunConfig) -> int:
+    """``experiment.threads``, one per CPU when unset."""
+    return cfg.experiment.threads if cfg.experiment.threads is not None else os.cpu_count() or 1
+
+
 def cmd_simulate(cfg: RunConfig, doc: dict) -> int:
     out = cfg.output_dir
     runs = experiments.simulate_and_report(
@@ -134,7 +139,13 @@ def cmd_simulate(cfg: RunConfig, doc: dict) -> int:
         cfg=cfg.integrator,
         perturbation=cfg.experiment.perturbation,
         out_dir=out,
+        workers=_workers(cfg),
     )
+    tol = cfg.integrator.steady_state_tol
+    for r in runs:
+        if not r.result.converged:
+            print(f"seed {r.seed}: {r.result.reason} at t = {r.result.t_final:g}, "
+                  f"residual {r.result.final_residual:.1e} > steady_state_tol {tol:g}", file=sys.stderr)
     summary = {
         "output_dir": out,
         "runs": [
@@ -174,8 +185,7 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
         realizations=exp.realizations,
         master_seed=cfg.master_seed,
     )
-    threads = exp.threads if exp.threads is not None else os.cpu_count()
-    rows = experiments.ensemble_report(sweep, threads=threads)
+    rows = experiments.ensemble_report(sweep, threads=_workers(cfg))
     experiments.write_ensemble_report(sweep, rows, out)
     manifest = experiments.run_manifest(cfg.graph, skt=cfg.skt, master_seed=cfg.master_seed, extra={
         "command": "ensemble", "swept": swept, "values": list(values), "realizations": exp.realizations,

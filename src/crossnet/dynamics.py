@@ -4,7 +4,8 @@ The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and first-same-as-last reuse.  It advances a batch of states at
 once, the states on the same method and stage count sharing each
 right-hand-side call, while every state keeps its own steps and stops on
-its own; a single state is a batch of one.  After each accepted step it
+its own; a single state is a batch of one, and ``simulate_skt`` can split
+a batch over forked worker processes.  After each accepted step it
 applies DOPRI5's stiffness test (Hairer & Wanner, Solving ODEs II, IV.2); a
 state that keeps failing it is held at the stability limit of the explicit
 pair rather than by its error control, and continues to the end with a
@@ -20,9 +21,14 @@ and flags anything deeper instead of hiding it.
 """
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite, isnan, nan
+from typing import NoReturn
 
 import numpy as np
 
@@ -136,18 +142,34 @@ def rhs(y: np.ndarray, p: SktParams, lap: np.ndarray) -> np.ndarray:
     ``reaction_terms`` and a term-by-term sum of the flux group the
     arithmetic differently, so they agree with this to rounding.
     """
+    _check_shapes(y.shape, lap)
+    return _field(p, lap)(y)
+
+
+def _check_shapes(shape: tuple, lap) -> None:
     n = lap.shape[0]
-    if y.shape[-2:] != (2, n) or lap.shape != (n, n):
-        raise ValueError(f"shape mismatch: state {y.shape}, laplacian {lap.shape}")
+    if shape[-2:] != (2, n) or lap.shape != (n, n):
+        raise ValueError(f"shape mismatch: state {shape}, laplacian {lap.shape}")
+
+
+def _field(p: SktParams, lap):
+    """``rhs(·, p, lap)`` as a function of the state alone, with no shape
+    check and with the coefficient matrix and rate column built once."""
     coef = np.array(((p.a1, p.b1), (p.b2, p.a2), (p.d11, p.d12), (p.d21, p.d22)))
-    cy = coef @ y
-    flux = cy[..., 2:, :] + p.d
-    flux *= y
-    transport = lap @ flux.swapaxes(-1, -2)
-    out = np.array(((p.r1,), (p.r2,))) - cy[..., :2, :]
-    out *= y
-    out -= transport.swapaxes(-1, -2)
-    return out
+    rate = np.array(((p.r1,), (p.r2,)))
+    d = p.d
+
+    def field(y: np.ndarray) -> np.ndarray:
+        cy = coef @ y
+        flux = cy[..., 2:, :] + d
+        flux *= y
+        transport = lap @ flux.swapaxes(-1, -2)
+        out = rate - cy[..., :2, :]
+        out *= y
+        out -= transport.swapaxes(-1, -2)
+        return out
+
+    return field
 
 
 # Dormand-Prince 5(4) tableau; row 6 doubles as the 5th-order weights (FSAL)
@@ -392,6 +414,14 @@ def _estimate_spectral_radius(field, y: np.ndarray, f: np.ndarray, direction: np
     return rho, v - y, probes
 
 
+def _stack(inits: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """``inits`` as a new (B, 2, n) float array, or ValueError."""
+    y = np.array(inits, dtype=float)
+    if y.ndim != 3 or y.shape[1] != 2 or y.shape[0] * y.shape[2] == 0:
+        raise ValueError(f"initial states must be (2, n) arrays with n >= 1, got an array of shape {y.shape}")
+    return y
+
+
 def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
     """Advance ``dY/dt = field(Y)`` from each state of ``inits`` until it stops.
 
@@ -425,9 +455,7 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
     state in ``inits`` order, as soon as every state before it has stopped:
     the error a one-by-one run would raise.
     """
-    y = np.array(inits, dtype=float)
-    if y.ndim != 3 or y.shape[1] != 2 or y.shape[0] * y.shape[2] == 0:
-        raise ValueError(f"initial states must be (2, n) arrays with n >= 1, got an array of shape {y.shape}")
+    y = _stack(inits)
     # row j of y, of f (the field there) and of rho_dir (where member j's
     # spectral radius estimate starts) belong to members[j] for the whole run
     y = y.reshape(len(y), -1)  # each row is concat(u, v)
@@ -594,13 +622,97 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         live = [j for j in live if not members[j].done]
 
 
-def simulate_skt(p: SktParams, g: Graph, inits: Sequence[np.ndarray] | np.ndarray, cfg: IntegratorConfig = IntegratorConfig()) -> list[SimulationResult]:
-    """Integrate the competition model on graph ``g`` from each state of ``inits`` in one batch.
+def simulate_skt(p: SktParams, g: Graph, inits: Sequence[np.ndarray] | np.ndarray,
+                 cfg: IntegratorConfig = IntegratorConfig(), workers: int = 1) -> list[SimulationResult]:
+    """Integrate the competition model on graph ``g`` from each state of ``inits``.
 
-    The Laplacian of ``g`` is applied in the form ``graphs.laplacian_operator`` picks.
+    The Laplacian of ``g`` is applied in the form ``graphs.laplacian_operator``
+    picks.  The states are cut into ``min(workers, len(inits))`` contiguous
+    slices, each integrated as one ``integrate_batch``: the first in this
+    process, each other one in a process forked for it (where ``os.fork``
+    exists; elsewhere all states form one batch).  A state's result does not
+    depend on its batch-mates, so the results, in ``inits`` order, and the
+    error raised, that of the first failing state in ``inits`` order, do not
+    depend on ``workers``.
     """
+    require_int("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    y = _stack(inits)
     op = laplacian_operator(g)
-    return integrate_batch(lambda y: rhs(y, p, op), inits, cfg)
+    _check_shapes(y.shape, op)
+    field = _field(p, op)
+    parts = np.array_split(y, min(workers, len(y))) if hasattr(os, "fork") else [y]
+    return [r for part in _forked(lambda part: integrate_batch(field, part, cfg), parts) for r in part]
+
+
+def _forked(run, parts: list) -> list:
+    """``[run(part) for part in parts]``, the first part in this process and
+    each other one in a child process forked for it, meanwhile.
+
+    A child pickles its return value, or the exception it raised, into a
+    pipe, and exits with status 0 once all of it is written.  The outcomes
+    are read in order, and the exception of the first part that raised is
+    raised here; a child that exits otherwise raises IntegrationError.
+    Every child is reaped, and killed first if it still runs, before this
+    returns or raises.  A fork, not a ``multiprocessing`` pool: the children
+    share the caller's arrays copy-on-write and import nothing, and no
+    handler thread starts in the calling process.  A forked child has the
+    calling thread alone, so no other thread may hold a lock the child
+    needs (the CLI runs no other thread while it simulates).
+    """
+    pipes, pids = [], []  # of the unreaped children, in the order of their parts
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send(run, part, write, pipes)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        outcomes = [run(parts[0])]
+        first = len(parts[0])
+        for part, pipe in zip(parts[1:], pipes):
+            data = pipe.read()
+            if os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1]) != 0:
+                raise IntegrationError(f"the worker process for states {first} to {first + len(part) - 1} "
+                                       "exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            outcomes.append(value)
+            first += len(part)
+        return outcomes
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _send(run, part, fd: int, inherited: list) -> NoReturn:
+    """In a forked child: close the ``inherited`` read ends, pickle ``(True,
+    run(part))``, or ``(False, exc)`` for the exception ``run`` raised, into
+    the pipe ``fd``, and exit.  With no read end left here, a child whose
+    parent died fails its write and exits instead of waiting for a reader."""
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        try:
+            outcome = (True, run(part))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(fd, "wb") as out:
+            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def perturb_homogeneous(

@@ -212,15 +212,17 @@ def simulate_and_report(
     cfg: IntegratorConfig = IntegratorConfig(),
     perturbation: float = 1e-2,
     out_dir: str | None = None,
+    workers: int = 1,
 ) -> list[SeedRunResult]:
     """Perturb the coexistence state, integrate to steady state, summarize.
 
     One run per perturbation seed on a single graph realization; the runs
-    are integrated as one batch, and each run's result is the one it gets
-    alone.  With ``out_dir`` set, the run directory is written by
-    ``write_run`` once every run is done; multi-seed runs place the per-seed
-    CSVs in ``seed_<s>/`` subdirectories, so repeated seeds raise ValueError
-    before anything is integrated or written.
+    are integrated by ``simulate_skt`` in up to ``workers`` processes, and
+    each run's result is the one it gets alone.  With ``out_dir`` set, the
+    run directory is written by ``write_run`` in this process once every run
+    is done; multi-seed runs place the per-seed CSVs in ``seed_<s>/``
+    subdirectories, so repeated seeds raise ValueError before anything is
+    integrated or written.
     """
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
@@ -232,7 +234,7 @@ def simulate_and_report(
     inits = [perturb_homogeneous(eq, g.n_nodes, perturbation, seed) for seed in seeds]
     runs = [
         SeedRunResult(seed=seed, result=result, metrics=pattern_metrics(result.final, eq))
-        for seed, result in zip(seeds, simulate_skt(skt, g, inits, cfg))
+        for seed, result in zip(seeds, simulate_skt(skt, g, inits, cfg, workers))
     ]
 
     if out_dir is not None:

@@ -371,6 +371,65 @@ def test_a_failing_seed_fails_the_command_with_no_files(capsys, tmp_path):
     assert not all_dir.exists() or not any(all_dir.iterdir())
 
 
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_simulate_files_do_not_depend_on_the_number_of_workers(capsys, tmp_path):
+    args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20",
+            "--set", "experiment.seeds=[4,0,2]"]
+    outs, trees = [], []
+    for threads in (1, 2):
+        out_dir = tmp_path / f"threads{threads}"
+        code, out = run_cli(capsys, *args, "--set", f"experiment.threads={threads}", "--output-dir", str(out_dir))
+        assert code == 0
+        outs.append(out.replace(str(out_dir), "OUT"))
+        trees.append(_tree(out_dir))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outs[0] == outs[1]
+    assert trees[0] == trees[1] and "seed_2/trajectory.csv" in trees[0]
+    assert b"threads" not in trees[0]["manifest.json"]
+
+
+def test_a_failing_seed_fails_the_same_way_with_workers(capsys, tmp_path):
+    args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=2", "--set", "experiment.seeds=[0,1,2,3]",
+            "--set", "integrator.rel_tol=0.5", "--set", "integrator.abs_tol=0.5"]
+    outs = []
+    for threads in (1, 2, 3):
+        out_dir = tmp_path / f"threads{threads}"
+        code, out = run_cli(capsys, *args, "--set", f"experiment.threads={threads}", "--output-dir", str(out_dir))
+        assert code == 3
+        assert not out_dir.exists()
+        outs.append(out)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_a_run_that_did_not_converge_says_so_on_stderr(capsys, tmp_path):
+    args = ["simulate", "--set", "graph.n=30", "--set", "graph.k=3", "--set", "experiment.seeds=[0,1]"]
+    code = main([*args, "--set", "integrator.t_max=5", "--output-dir", str(tmp_path / "t")])
+    captured = capsys.readouterr()
+    assert code == 0
+    runs = json.loads(captured.out)["runs"]
+    assert captured.err.splitlines() == [
+        f"seed {r['seed']}: t_max at t = 5, residual {r['final_residual']:.1e} > steady_state_tol 1e-09"
+        for r in runs
+    ]
+    code = main([*args, "--set", "integrator.max_steps=3", "--output-dir", str(tmp_path / "m")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [line.split(" at t = ")[0] for line in captured.err.splitlines()] == ["seed 0: max_steps",
+                                                                              "seed 1: max_steps"]
+    # a run that converges prints nothing there
+    code = main(["simulate", "--set", "skt.d11=0.5", "--set", "skt.d22=0.2", "--set", "graph.n=30",
+                 "--set", "graph.k=3", "--output-dir", str(tmp_path / "c")])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["runs"][0]["converged"]
+    assert captured.err == ""
+
+
 def test_exit_code_4_on_io_error(capsys):
     code, out = run_cli(capsys, "graph", "gen", "--output-dir", "/proc/definitely/not/writable")
     assert code == 4

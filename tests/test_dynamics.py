@@ -7,6 +7,7 @@ preserve regardless of step-size choices.
 """
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -720,6 +721,84 @@ def test_batch_raises_the_error_of_the_first_failing_member():
                          ([late, early], late), ([decays, early, late], early)):
         assert error(inits) == error([first])
     assert error([late]) != error([early])
+
+
+# ----------------------------------------------------------------- workers
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_results_do_not_depend_on_the_number_of_workers():
+    # the mixed DP5 and RKC batch above: its members stop at different steps
+    g = gen_ring(30, 3)
+    eq = equilibrium(P)
+    inits = [perturb_homogeneous(eq, 30, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
+    cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
+    serial = simulate_skt(P, g, inits, cfg, workers=1)
+    assert len({r.steps_accepted for r in serial}) == len(serial)
+    assert {r.t_stiff is None for r in serial} == {True, False}
+    for workers in (2, 3, 9):
+        results = simulate_skt(P, g, inits, cfg, workers=workers)
+        assert len(results) == len(inits)
+        for a, b in zip(results, serial):
+            _assert_same_result(a, b)
+        _assert_no_child_left()
+
+
+def _failing(*depths):
+    """Four perturbed states on the ring (30, 3); state j with a depth has
+    u = -depth at node 0, and its step size underflows, the sooner the deeper."""
+    eq = equilibrium(P)
+    inits = [perturb_homogeneous(eq, 30, 1e-2, seed=s) for s in range(4)]
+    for y, depth in zip(inits, depths):
+        if depth:
+            y[0, 0] = -depth
+    return inits
+
+
+@pytest.mark.parametrize("inits, first", [
+    (_failing(0, 0, 0, 2.0), 3),  # in the second slice only
+    (_failing(0, 2.0, 10.0, 0), 1),  # in both slices, the later failure first
+    (_failing(10.0, 0, 2.0, 2.0), 0),
+])
+def test_a_failing_state_raises_the_serial_error_whatever_the_workers(inits, first):
+    g = gen_ring(30, 3)
+    cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
+
+    def error(states, workers):
+        with pytest.raises(IntegrationError) as err:
+            simulate_skt(P, g, states, cfg, workers=workers)
+        _assert_no_child_left()
+        return str(err.value), err.value.time
+
+    serial = error(inits, 1)
+    assert serial == error([inits[first]], 1)
+    assert serial[1] > 0.0
+    for workers in (2, 3):
+        assert error(inits, workers) == serial
+
+
+def test_a_worker_that_dies_without_a_result_raises_and_is_reaped():
+    def run(part):
+        if 2 in part:
+            os._exit(1)
+        return [x + 1 for x in part]
+
+    assert dynamics._forked(run, [[0], [1], [3, 4]]) == [[1], [2], [4, 5]]
+    _assert_no_child_left()
+    with pytest.raises(IntegrationError, match="worker process for states 1 to 2 exited without a result"):
+        dynamics._forked(run, [[0], [1, 2], [3]])
+    _assert_no_child_left()
+
+
+def test_a_worker_count_below_one_is_rejected():
+    inits = [np.ones((2, 3))]
+    for workers in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_skt(P, gen_ring(3, 1), inits, workers=workers)
 
 
 def test_finished_members_keep_their_samples_once():

@@ -95,3 +95,14 @@ def test_bench_rhs_and_operator_rows_on_a_tiny_ring():
     assert picked["name"] == "rhs-n12-B2-operator" and picked["form"] in ("ndarray", "BlockLaplacian")
     row = bench.operator_row(n=400, k=20, repeats=2)
     assert row["name"] == "laplacian-operator-n400" and row["form"] == "BlockLaplacian" and row["ms"] > 0
+
+
+def test_bench_efficiency_row_compares_the_default_workers_with_one(monkeypatch):
+    bench = load_bench()
+    rows = [{"name": "simulate-ring400", "median_wall_s": 1.0, "counters": {"runs": 6}},
+            {"name": "simulate-ring400-threads1", "median_wall_s": 1.5, "counters": {"runs": 6}}]
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    assert bench.efficiency_row(rows) == {"name": "parallel-efficiency-ring400", "workers": 2,
+                                          "speedup": 1.5, "efficiency": 0.75}
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+    assert bench.efficiency_row(rows)["workers"] == 6
