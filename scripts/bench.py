@@ -12,13 +12,19 @@ numpy and BLAS versions, the CPU count, the CPUs this process may use and
 the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
-The six-seed ring400 ``simulate`` runs twice, on its default workers (one
-forked process per CPU, at most one per seed) and with
+The six-seed ring400 ``simulate`` and the README ER ensemble sweep are the
+``simulate-ring400`` and ``ensemble-er100`` workloads of ``perfbench/`` at
+workload seed 0, taken from ``perfbench/workloads.py``.  The ring400
+command runs twice, on its default workers (one forked process per CPU this
+process may run on, at most one per seed) and with
 ``experiment.threads=1``; ``ru_maxrss`` of ``os.wait4`` covers the reaped
 workers too, as the largest single peak, not a sum.  The row
 ``parallel-efficiency-ring400`` records the speed-up of the default over
 one worker, the ratio of their median walls, and that speed-up divided by
-the number of workers.
+the number of workers.  The ER sweep runs on one worker, as the workload
+pins it, and on the default workers (``ensemble-er100-workers``), and an
+Erdos-Renyi ensemble with n = 1000, p = 0.05 and 24 realizations runs on
+the default workers (``ensemble-er1000-workers``).
 
 In this process it also times, each row the best of three runs:
 
@@ -62,26 +68,40 @@ RHS_SIZES = (100, 1000, 4000)
 RHS_BATCHES = (1, 6, 64)
 RING_K = 10
 
-RING400 = [
-    "simulate", "--set", "graph.n=400", "--set", "graph.k=20",
-    "--set", "integrator.steady_state_tol=1e-6", "--set", "integrator.sample_dt=10",
-    "--set", "experiment.seeds=[0,1,2,3,4,5]",
-]
+# the ring400 and ER ensemble commands are the benchmark's own, at workload seed 0
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+RING400 = WORKLOADS["simulate-ring400"].argv(0)
+ER100 = WORKLOADS["ensemble-er100"].argv(0)
+ONE_WORKER = ["--set", "experiment.threads=1"]
+
+
+def _unpinned(argv: list[str]) -> list[str]:
+    """``argv`` without an ``experiment.threads=1``, so on the default workers."""
+    out = list(argv)
+    if ONE_WORKER[1] in out:
+        i = out.index(ONE_WORKER[1])
+        del out[i - 1:i + 1]
+    return out
+
+
 COMMANDS = {
     "simulate-default": ["simulate"],
     "simulate-ring400": RING400,
     # the same command on one worker, for the parallel-efficiency row
-    "simulate-ring400-threads1": [*RING400, "--set", "experiment.threads=1"],
+    "simulate-ring400-threads1": [*RING400, *ONE_WORKER],
     # no mode is unstable, so the perturbation decays; steady at t ~ 39.9
     "simulate-decay": [
         "simulate", "--set", "skt.d11=0.5", "--set", "skt.d22=0.2", "--set", "graph.n=30", "--set", "graph.k=3",
     ],
     "stability": ["stability"],
     "stability-n4000": ["stability", "--set", "graph.n=4000"],
-    "ensemble-er100": [
-        "ensemble", "--set", "graph.family=erdos-renyi", "--set", "graph.n=100",
-        "--set", "experiment.sweep_param=p", "--set", "experiment.sweep_values=[0.1,0.2,0.3]",
-        "--set", "experiment.realizations=500", "--set", "experiment.threads=1",
+    "ensemble-er100": ER100,
+    "ensemble-er100-workers": _unpinned(ER100),
+    "ensemble-er1000-workers": [
+        "ensemble", "--set", "graph.family=erdos-renyi", "--set", "graph.n=1000", "--set", "graph.p=0.05",
+        "--set", "experiment.realizations=24",
     ],
 }
 
@@ -157,10 +177,12 @@ def _import_src() -> None:
 
 def efficiency_row(rows: list[dict]) -> dict:
     """Speed-up and parallel efficiency of the six-seed ring400 command on its
-    default workers (one per CPU, at most one per seed) against one worker."""
+    default workers (one per CPU it may run on, at most one per seed) against
+    one worker."""
     wall = {row["name"]: row["median_wall_s"] for row in rows}
     seeds = next(row["counters"]["runs"] for row in rows if row["name"] == "simulate-ring400")
-    workers = min(os.cpu_count() or 1, seeds)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, seeds)
     speedup = wall["simulate-ring400-threads1"] / wall["simulate-ring400"]
     return {"name": "parallel-efficiency-ring400", "workers": workers,
             "speedup": speedup, "efficiency": speedup / workers}

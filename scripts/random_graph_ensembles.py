@@ -33,10 +33,13 @@ def main() -> None:
     ap.add_argument("--values", type=float, nargs="+", default=None,
                     help="override the swept values (k values are cast to int)")
     ap.add_argument("--master-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="worker processes per swept value (default: 1)")
     ap.add_argument("--out", default="results/ensembles")
     args = ap.parse_args()
 
+    if args.workers < 1:
+        ap.error(f"--workers must be >= 1, got {args.workers}")
     families = [args.family] if args.family else sorted(_SWEEPS)
     # check every family's sweep before any runs, so that a bad size writes nothing
     specs = {}
@@ -58,7 +61,7 @@ def main() -> None:
         specs[family] = spec
 
     for family, spec in specs.items():
-        rows = ensemble_report(spec, threads=args.threads)
+        rows = ensemble_report(spec, workers=args.workers)
         out_dir = os.path.join(args.out, family)
         write_ensemble_report(spec, rows, out_dir)
 

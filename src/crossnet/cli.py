@@ -126,8 +126,9 @@ def cmd_stability(cfg: RunConfig, doc: dict) -> int:
 
 
 def _workers(cfg: RunConfig) -> int:
-    """``experiment.threads``, one per CPU when unset."""
-    return cfg.experiment.threads if cfg.experiment.threads is not None else os.cpu_count() or 1
+    """``experiment.threads``; when unset, one per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cfg.experiment.threads or cpus
 
 
 def cmd_simulate(cfg: RunConfig, doc: dict) -> int:
@@ -185,7 +186,7 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
         realizations=exp.realizations,
         master_seed=cfg.master_seed,
     )
-    rows = experiments.ensemble_report(sweep, threads=_workers(cfg))
+    rows = experiments.ensemble_report(sweep, workers=_workers(cfg))
     experiments.write_ensemble_report(sweep, rows, out)
     manifest = experiments.run_manifest(cfg.graph, skt=cfg.skt, master_seed=cfg.master_seed, extra={
         "command": "ensemble", "swept": swept, "values": list(values), "realizations": exp.realizations,

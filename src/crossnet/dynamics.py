@@ -21,19 +21,15 @@ and flags anything deeper instead of hiding it.
 """
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import signal
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite, isnan, nan
-from typing import NoReturn
 
 import numpy as np
 
 from .errors import IntegrationError, require_int, require_real
 from .graphs import Graph, laplacian_operator
+from .parallel import _forked
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
 from .textio import fmt_float
@@ -635,84 +631,11 @@ def simulate_skt(p: SktParams, g: Graph, inits: Sequence[np.ndarray] | np.ndarra
     error raised, that of the first failing state in ``inits`` order, do not
     depend on ``workers``.
     """
-    require_int("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     y = _stack(inits)
     op = laplacian_operator(g)
     _check_shapes(y.shape, op)
     field = _field(p, op)
-    parts = np.array_split(y, min(workers, len(y))) if hasattr(os, "fork") else [y]
-    return [r for part in _forked(lambda part: integrate_batch(field, part, cfg), parts) for r in part]
-
-
-def _forked(run, parts: list) -> list:
-    """``[run(part) for part in parts]``, the first part in this process and
-    each other one in a child process forked for it, meanwhile.
-
-    A child pickles its return value, or the exception it raised, into a
-    pipe, and exits with status 0 once all of it is written.  The outcomes
-    are read in order, and the exception of the first part that raised is
-    raised here; a child that exits otherwise raises IntegrationError.
-    Every child is reaped, and killed first if it still runs, before this
-    returns or raises.  A fork, not a ``multiprocessing`` pool: the children
-    share the caller's arrays copy-on-write and import nothing, and no
-    handler thread starts in the calling process.  A forked child has the
-    calling thread alone, so no other thread may hold a lock the child
-    needs (the CLI runs no other thread while it simulates).
-    """
-    pipes, pids = [], []  # of the unreaped children, in the order of their parts
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send(run, part, write, pipes)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        outcomes = [run(parts[0])]
-        first = len(parts[0])
-        for part, pipe in zip(parts[1:], pipes):
-            data = pipe.read()
-            if os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1]) != 0:
-                raise IntegrationError(f"the worker process for states {first} to {first + len(part) - 1} "
-                                       "exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            outcomes.append(value)
-            first += len(part)
-        return outcomes
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _send(run, part, fd: int, inherited: list) -> NoReturn:
-    """In a forked child: close the ``inherited`` read ends, pickle ``(True,
-    run(part))``, or ``(False, exc)`` for the exception ``run`` raised, into
-    the pipe ``fd``, and exit.  With no read end left here, a child whose
-    parent died fails its write and exits instead of waiting for a reader."""
-    code = 1
-    try:
-        for pipe in inherited:
-            pipe.close()
-        try:
-            outcome = (True, run(part))
-        except Exception as exc:
-            outcome = (False, exc)
-        with open(fd, "wb") as out:
-            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+    return [r for part in _forked(lambda part: integrate_batch(field, part, cfg), y, workers) for r in part]
 
 
 def perturb_homogeneous(

@@ -172,18 +172,19 @@ class EnsembleRow:
     mean_spectrum_unstable_count: int
 
 
-def ensemble_report(spec: SweepSpec, threads: int | None = None) -> list[EnsembleRow]:
+def ensemble_report(spec: SweepSpec, workers: int = 1) -> list[EnsembleRow]:
     """Seeded-ensemble spectral statistics per swept value.
 
     Realization ``i`` of swept value index ``j`` uses the seed derived from
-    (master_seed, j, i); results do not depend on ``threads``.
+    (master_seed, j, i), and is solved in one of up to ``workers`` processes;
+    the results and the error raised do not depend on ``workers``.
     """
     report = stability_report(spec.skt)
     rows = []
     for j, value in enumerate(spec.values):
         gspec = spec.spec_at(value)
         eigs = spectra.ensemble_eigenvalues(
-            gspec, spec.realizations, derive_seed(spec.master_seed, j), threads
+            gspec, spec.realizations, derive_seed(spec.master_seed, j), workers
         )
         unstable = int(unstable_mask(eigs, report).any(axis=1).sum())
         stats = spectra.stats_from_eigenvalues(eigs)

@@ -7,14 +7,13 @@ algebraic connectivity.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigenSolverError
 from .graphs import GraphSpec, _check_ring, build_graph, build_laplacian, ensemble_specs
+from .parallel import _forked
 from .textio import fmt_float
 
 __all__ = [
@@ -103,29 +102,20 @@ def stats_from_eigenvalues(eigs: np.ndarray) -> SpectralStats:
     return SpectralStats(eigs.mean(axis=0), (eigs - eigs[0]).var(axis=0), eigs.shape[0])
 
 
-def ensemble_eigenvalues(
-    spec: GraphSpec,
-    realizations: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> np.ndarray:
+def ensemble_eigenvalues(spec: GraphSpec, realizations: int, master_seed: int, workers: int = 1) -> np.ndarray:
     """(realizations, n) array of sorted eigenvalues, one row per realization.
 
     Realization ``i`` is built from ``ensemble_specs(spec, realizations,
-    master_seed)``, so its seed is derived from (master_seed, i).
+    master_seed)``, so its seed is derived from (master_seed, i).  Each of up
+    to ``workers`` contiguous slices (``parallel._forked``) builds, checks and
+    solves its own graphs in order, so neither the rows nor the error raised,
+    the first failing realization's, depend on ``workers``.
     """
 
-    def one(member: GraphSpec) -> np.ndarray:
-        return eig_symmetric(build_laplacian(build_graph(member)))
+    def solve(members: list[GraphSpec]) -> np.ndarray:
+        return np.stack([eig_symmetric(build_laplacian(build_graph(m))) for m in members])
 
-    members = ensemble_specs(spec, realizations, master_seed)
-    if threads is None or threads <= 1:
-        rows = [one(m) for m in members]
-    else:
-        workers = min(threads, os.cpu_count() or 1, realizations)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, members))
-    return np.stack(rows)
+    return np.concatenate(_forked(solve, list(ensemble_specs(spec, realizations, master_seed)), workers))
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path) -> None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,9 @@ def laplacian_from_edges(n, edges):
         mat[i, j] -= 1
         mat[j, i] -= 1
     return mat
+
+
+def assert_no_child_left():
+    """Every worker process forked so far has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

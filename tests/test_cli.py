@@ -12,13 +12,16 @@ import pytest
 
 from crossnet import (
     build_graph,
+    derive_seed,
     equilibrium,
     pattern_metrics,
     perturb_homogeneous,
     simulate_skt,
 )
+from crossnet import cli
 from crossnet.cli import main
 from crossnet.config import load_config
+from conftest import assert_no_child_left
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -375,36 +378,66 @@ def _tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _per_worker_count(capsys, tmp_path, args, counts, expected_code):
+    """Stdout, the output directory masked, and files (None for no directory)
+    of ``args``; identical at each ``experiment.threads`` in ``counts``, each
+    exiting ``expected_code`` and leaving no worker process behind."""
+    runs = []
+    for threads in counts:
+        out_dir = tmp_path / f"threads{threads}"
+        code, out = run_cli(capsys, *args, "--set", f"experiment.threads={threads}", "--output-dir", str(out_dir))
+        assert code == expected_code, out
+        assert_no_child_left()
+        runs.append((out.replace(str(out_dir), "OUT"), _tree(out_dir) if out_dir.exists() else None))
+    assert all(run == runs[0] for run in runs)
+    return runs[0]
+
+
 def test_simulate_files_do_not_depend_on_the_number_of_workers(capsys, tmp_path):
     args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=3", "--set", "integrator.t_max=20",
             "--set", "experiment.seeds=[4,0,2]"]
-    outs, trees = [], []
-    for threads in (1, 2):
-        out_dir = tmp_path / f"threads{threads}"
-        code, out = run_cli(capsys, *args, "--set", f"experiment.threads={threads}", "--output-dir", str(out_dir))
-        assert code == 0
-        outs.append(out.replace(str(out_dir), "OUT"))
-        trees.append(_tree(out_dir))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert outs[0] == outs[1]
-    assert trees[0] == trees[1] and "seed_2/trajectory.csv" in trees[0]
-    assert b"threads" not in trees[0]["manifest.json"]
+    _, tree = _per_worker_count(capsys, tmp_path, args, (1, 2), 0)
+    assert "seed_2/trajectory.csv" in tree
+    assert b"threads" not in tree["manifest.json"]
+
+
+def test_ensemble_files_do_not_depend_on_the_number_of_workers(capsys, tmp_path):
+    args = ["ensemble", *_ER, "--set", "experiment.sweep_param=p", "--set", "experiment.sweep_values=[0.2,0.4]",
+            "--set", "experiment.realizations=7"]
+    _, tree = _per_worker_count(capsys, tmp_path, args, (1, 2, 3), 0)
+    assert set(tree) == {"ensemble.csv", "summary.csv", "manifest.json"}
+    assert b"threads" not in tree["manifest.json"]
 
 
 def test_a_failing_seed_fails_the_same_way_with_workers(capsys, tmp_path):
     args = ["simulate", "--set", "graph.n=20", "--set", "graph.k=2", "--set", "experiment.seeds=[0,1,2,3]",
             "--set", "integrator.rel_tol=0.5", "--set", "integrator.abs_tol=0.5"]
-    outs = []
-    for threads in (1, 2, 3):
-        out_dir = tmp_path / f"threads{threads}"
-        code, out = run_cli(capsys, *args, "--set", f"experiment.threads={threads}", "--output-dir", str(out_dir))
-        assert code == 3
-        assert not out_dir.exists()
-        outs.append(out)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert outs[0] == outs[1] == outs[2]
+    _, tree = _per_worker_count(capsys, tmp_path, args, (1, 2, 3), 3)
+    assert tree is None
+
+
+def test_a_failing_realization_fails_the_same_way_with_workers(capsys, tmp_path):
+    # realizations 3 and 5 of the six find no connected draw; both lie in
+    # forked slices at two and at three workers
+    args = ["ensemble", "--set", "graph.family=erdos-renyi", "--set", "graph.n=12", "--set", "graph.p=0.1",
+            "--set", "graph.require_connected=true", "--set", "experiment.realizations=6", "--master-seed", "28"]
+    out, tree = _per_worker_count(capsys, tmp_path, args, (1, 2, 3), 3)
+    assert tree is None
+    seed = derive_seed(derive_seed(28, 0), 3)
+    assert json.loads(out) == {"error": "numerical",
+                               "message": f"no connected erdos-renyi realization in 100 attempts (seed {seed})"}
+
+
+def test_default_workers_count_the_cpus_this_process_may_run_on(monkeypatch):
+    unset, three = load_config(None, [])[0], load_config(None, ["experiment.threads=3"])[0]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._workers(unset) == 1
+    assert cli._workers(three) == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._workers(unset) == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._workers(unset) == 1
 
 
 def test_a_run_that_did_not_converge_says_so_on_stderr(capsys, tmp_path):

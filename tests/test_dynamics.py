@@ -7,7 +7,6 @@ preserve regardless of step-size choices.
 """
 import dataclasses
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -36,6 +35,7 @@ from crossnet import dynamics
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.graphs import Graph, GraphSpec
 from crossnet.textio import fmt_float
+from conftest import assert_no_child_left
 
 P = DEFAULT_SKT_PARAMS
 
@@ -726,11 +726,6 @@ def test_batch_raises_the_error_of_the_first_failing_member():
 # ----------------------------------------------------------------- workers
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_results_do_not_depend_on_the_number_of_workers():
     # the mixed DP5 and RKC batch above: its members stop at different steps
     g = gen_ring(30, 3)
@@ -745,7 +740,7 @@ def test_results_do_not_depend_on_the_number_of_workers():
         assert len(results) == len(inits)
         for a, b in zip(results, serial):
             _assert_same_result(a, b)
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 def _failing(*depths):
@@ -771,7 +766,7 @@ def test_a_failing_state_raises_the_serial_error_whatever_the_workers(inits, fir
     def error(states, workers):
         with pytest.raises(IntegrationError) as err:
             simulate_skt(P, g, states, cfg, workers=workers)
-        _assert_no_child_left()
+        assert_no_child_left()
         return str(err.value), err.value.time
 
     serial = error(inits, 1)
@@ -779,19 +774,6 @@ def test_a_failing_state_raises_the_serial_error_whatever_the_workers(inits, fir
     assert serial[1] > 0.0
     for workers in (2, 3):
         assert error(inits, workers) == serial
-
-
-def test_a_worker_that_dies_without_a_result_raises_and_is_reaped():
-    def run(part):
-        if 2 in part:
-            os._exit(1)
-        return [x + 1 for x in part]
-
-    assert dynamics._forked(run, [[0], [1], [3, 4]]) == [[1], [2], [4, 5]]
-    _assert_no_child_left()
-    with pytest.raises(IntegrationError, match="worker process for states 1 to 2 exited without a result"):
-        dynamics._forked(run, [[0], [1, 2], [3]])
-    _assert_no_child_left()
 
 
 def test_a_worker_count_below_one_is_rejected():

@@ -92,7 +92,7 @@ def test_ensemble_report_deterministic_and_fraction_bounded():
     sweep = SweepSpec(base=base, swept="p", values=(0.15, 0.3), skt=P,
                       realizations=20, master_seed=4)
     rows_a = ensemble_report(sweep)
-    rows_b = ensemble_report(sweep, threads=3)
+    rows_b = ensemble_report(sweep, workers=3)
     for ra, rb in zip(rows_a, rows_b):
         assert np.array_equal(ra.stats.mean, rb.stats.mean)
         assert ra.instability_fraction == rb.instability_fraction

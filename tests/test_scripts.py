@@ -22,7 +22,7 @@ def run_script(tmp_path, name, *args):
 @pytest.mark.parametrize("name, args", [
     ("ring_sweep.py", ("--n", "30")),
     ("lattice_comparison.py", ("--rows", "3", "--cols", "4")),
-    ("random_graph_ensembles.py", ("--family", "erdos-renyi", "--realizations", "3", "--n", "20")),
+    ("random_graph_ensembles.py", ("--family", "erdos-renyi", "--realizations", "3", "--n", "20", "--workers", "2")),
 ])
 def test_script_writes_the_files_it_names(tmp_path, name, args):
     proc = run_script(tmp_path, name, *args)
@@ -101,8 +101,8 @@ def test_bench_efficiency_row_compares_the_default_workers_with_one(monkeypatch)
     bench = load_bench()
     rows = [{"name": "simulate-ring400", "median_wall_s": 1.0, "counters": {"runs": 6}},
             {"name": "simulate-ring400-threads1", "median_wall_s": 1.5, "counters": {"runs": 6}}]
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert bench.efficiency_row(rows) == {"name": "parallel-efficiency-ring400", "workers": 2,
                                           "speedup": 1.5, "efficiency": 0.75}
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(8)))
     assert bench.efficiency_row(rows)["workers"] == 6

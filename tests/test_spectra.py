@@ -1,4 +1,5 @@
 """Spectra: closed forms vs numeric solver, connectivity facts, ensemble stats."""
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnet import (
+    CrossnetError,
+    GenerationError,
     Graph,
     GraphSpec,
     build_graph,
     build_laplacian,
+    derive_seed,
     eig_symmetric,
     gen_path,
     gen_ring,
@@ -18,7 +22,9 @@ from crossnet import (
     ring_spectrum_closed_form,
     write_spectrum_csv,
 )
+from crossnet import parallel, spectra
 from crossnet.spectra import ensemble_eigenvalues, stats_from_eigenvalues
+from conftest import assert_no_child_left
 
 # hand-computed Laplacian spectra of tiny graphs
 TRIANGLE = [0.0, 3.0, 3.0]
@@ -178,11 +184,71 @@ def test_ensemble_eigenvalues_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_ensemble_thread_count_does_not_change_results():
+def test_ensemble_worker_count_does_not_change_results():
     spec = GraphSpec(family="erdos-renyi", n=15, p=0.4)
-    serial = ensemble_eigenvalues(spec, 12, master_seed=5, threads=None)
-    threaded = ensemble_eigenvalues(spec, 12, master_seed=5, threads=4)
-    assert np.array_equal(serial, threaded)
+    serial = ensemble_eigenvalues(spec, 12, master_seed=5, workers=1)
+    for workers in (2, 3):
+        forked = ensemble_eigenvalues(spec, 12, master_seed=5, workers=workers)
+        assert forked.shape == serial.shape and forked.tobytes() == serial.tobytes()
+        assert_no_child_left()
+
+
+def test_ensemble_rows_do_not_depend_on_the_blas_threads():
+    # from about n = 400 up, eigvalsh's last bits move with the BLAS thread count
+    blas = parallel._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS named in /proc/self/maps")
+    get, set_ = blas
+    spec = GraphSpec(family="erdos-renyi", n=400, p=0.1)
+    before = get()
+    try:
+        rows = []
+        for threads in (1, 2):
+            set_(threads)
+            rows.append(ensemble_eigenvalues(spec, 2, master_seed=3).tobytes())
+    finally:
+        set_(before)
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("p, master_seed, failing", [
+    (0.12, 1, [3]),  # in the second of two slices only
+    (0.1, 3, [2, 5]),  # in both of two slices, and in the second and third of three
+    (0.1, 0, [0, 2, 5]),
+])
+def test_a_failing_realization_raises_the_serial_error_whatever_the_workers(p, master_seed, failing):
+    # six sparse Erdos-Renyi graphs that must be connected; realizations
+    # `failing` find no connected draw within the retry bound
+    spec = GraphSpec(family="erdos-renyi", n=12, p=p, require_connected=True)
+
+    def error(workers):
+        with pytest.raises(GenerationError) as err:
+            ensemble_eigenvalues(spec, 6, master_seed, workers=workers)
+        assert_no_child_left()
+        return str(err.value)
+
+    serial = error(1)
+    assert serial.endswith(f"(seed {derive_seed(master_seed, failing[0])})")
+    for workers in (2, 3):
+        assert error(workers) == serial
+
+
+def test_a_dead_ensemble_worker_raises_the_neutral_error(monkeypatch):
+    parent, dying = os.getpid(), derive_seed(5, 4)
+    build = spectra.build_graph
+
+    def build_or_die(member):
+        if member.seed == dying and os.getpid() != parent:
+            os._exit(1)
+        return build(member)
+
+    monkeypatch.setattr(spectra, "build_graph", build_or_die)
+    spec = GraphSpec(family="erdos-renyi", n=15, p=0.4)
+    with pytest.raises(CrossnetError) as err:
+        ensemble_eigenvalues(spec, 6, master_seed=5, workers=2)
+    assert type(err.value) is CrossnetError
+    assert str(err.value) == "worker process for items 3 to 5 exited without a result"
+    assert_no_child_left()
 
 
 def test_ensemble_stats_identical_rows_give_exact_zero_variance():
