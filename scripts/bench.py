@@ -24,7 +24,10 @@ one worker, the ratio of their median walls, and that speed-up divided by
 the number of workers.  The ER sweep runs on one worker, as the workload
 pins it, and on the default workers (``ensemble-er100-workers``), and an
 Erdos-Renyi ensemble with n = 1000, p = 0.05 and 24 realizations runs on
-the default workers (``ensemble-er1000-workers``).
+the default workers (``ensemble-er1000-workers``).  ``graph gen`` and
+``spectrum`` run on one Erdos-Renyi graph with n = 4000, p = 0.01
+(``graph-gen-er4000``, ``spectrum-er4000``), whose peaks show what the
+graph costs beside the dense Laplacian.
 
 In this process it also times, each row the best of three runs:
 
@@ -38,7 +41,11 @@ In this process it also times, each row the best of three runs:
   Laplacian and once with the operator ``laplacian_operator`` picks (its
   form is recorded); the row's value is microseconds per state;
 - ``laplacian_operator`` on the ring with n = 4000 and k = 10, from its
-  graph, in milliseconds.
+  graph, in milliseconds;
+- ``build_graph`` at seed 0 for each random family at n = 100, 1000 and
+  4000, in milliseconds: Erdos-Renyi with p = 0.01, Watts-Strogatz with
+  k = 15 and p = 0.1, regular-random with k = 8 and Barabasi-Albert with
+  k = 3; the row records the edge count.
 
 Usage: ``python3 scripts/bench.py LABEL`` writes ``BENCH_LABEL.json`` in the
 current directory.
@@ -67,6 +74,13 @@ MEMBER_STEP_BATCHES = (1, 8, 64)
 RHS_SIZES = (100, 1000, 4000)
 RHS_BATCHES = (1, 6, 64)
 RING_K = 10
+GRAPH_SIZES = (100, 1000, 4000)
+GRAPH_FAMILIES = {
+    "erdos-renyi": {"p": 0.01},
+    "watts-strogatz": {"k": 15, "p": 0.1},
+    "regular-random": {"k": 8},
+    "barabasi-albert": {"k": 3},
+}
 
 # the ring400 and ER ensemble commands are the benchmark's own, at workload seed 0
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -75,6 +89,7 @@ from workloads import WORKLOADS  # noqa: E402
 RING400 = WORKLOADS["simulate-ring400"].argv(0)
 ER100 = WORKLOADS["ensemble-er100"].argv(0)
 ONE_WORKER = ["--set", "experiment.threads=1"]
+ER4000 = ["--set", "graph.family=erdos-renyi", "--set", "graph.n=4000", "--set", "graph.p=0.01"]
 
 
 def _unpinned(argv: list[str]) -> list[str]:
@@ -103,6 +118,8 @@ COMMANDS = {
         "ensemble", "--set", "graph.family=erdos-renyi", "--set", "graph.n=1000", "--set", "graph.p=0.05",
         "--set", "experiment.realizations=24",
     ],
+    "graph-gen-er4000": ["graph", "gen", *ER4000],
+    "spectrum-er4000": ["spectrum", *ER4000],
 }
 
 _CLI = "import sys; from crossnet.cli import main; sys.exit(main())"
@@ -122,7 +139,9 @@ def counters(out: Path) -> dict:
                 found[key] = sum(r[key] for r in runs)
         return found
     manifest = json.loads((out / "manifest.json").read_text())
-    return {"realizations": manifest["realizations"] * len(manifest["values"])}
+    if "realizations" in manifest:
+        return {"realizations": manifest["realizations"] * len(manifest["values"])}
+    return {"n_edges": manifest["n_edges"]}
 
 
 def run_once(argv: list[str]) -> tuple[float, float, dict]:
@@ -259,6 +278,22 @@ def operator_row(n: int = 4000, k: int = RING_K, repeats: int = REPEATS) -> dict
     }
 
 
+def graph_row(family: str, n: int, repeats: int = REPEATS, **params) -> dict:
+    """Milliseconds of ``build_graph`` for the random ``family`` at ``n`` nodes and seed 0."""
+    _import_src()
+    from crossnet.graphs import GraphSpec, build_graph
+
+    spec = GraphSpec(family=family, n=n, seed=0, **params)
+    return {
+        "name": f"graph-{family}-n{n}",
+        "family": family,
+        "n": n,
+        **params,
+        "n_edges": build_graph(spec).n_edges,
+        "ms": _best_s(lambda: build_graph(spec), repeats) * 1e3,
+    }
+
+
 def machine() -> dict:
     info = {
         "python": sys.version.split()[0],
@@ -308,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     row = operator_row()
     print(f"{row['name']:<24} {row['ms']:10.2f} ms ({row['form']})", flush=True)
     rows.append(row)
+    for family, params in GRAPH_FAMILIES.items():
+        for n in GRAPH_SIZES:
+            row = graph_row(family, n, **params)
+            print(f"{row['name']:<28} {row['ms']:10.2f} ms ({row['n_edges']} edges)", flush=True)
+            rows.append(row)
     doc = {"label": label, "repeats": REPEATS, "machine": machine(), "source_lines": source_lines(), "rows": rows}
     path = Path(f"BENCH_{label}.json")
     path.write_text(json.dumps(doc, indent=2) + "\n")

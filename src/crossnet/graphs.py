@@ -19,7 +19,6 @@ each arriving node.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -239,24 +238,20 @@ def gen_lattice(kind: str, rows: int, cols: int) -> Graph:
     return Graph(rows * cols, np.concatenate(edges))
 
 
-# one table at a time: ensembles draw all realizations of one n in a row,
-# and the table for n = 4000 alone takes 128 MB
-@functools.lru_cache(maxsize=1)
-def _upper_pairs(n: int) -> np.ndarray:
-    """Read-only (n(n-1)/2, 2) table of the pairs i < j, row-major."""
-    pairs = np.column_stack(np.triu_indices(n, k=1))
-    pairs.flags.writeable = False
-    return pairs
-
-
 def _edge_array(edges: set[tuple[int, int]]) -> np.ndarray:
     return np.array(list(edges), dtype=np.int64).reshape(-1, 2)
 
 
 def _erdos_renyi(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    # one Bernoulli draw per unordered pair, row-major over the upper triangle
-    pairs = _upper_pairs(n)
-    return np.compress(rng.random(len(pairs)) < p, pairs, axis=0)
+    # one Bernoulli draw per unordered pair, row-major over the upper triangle;
+    # row i holds the pairs (i, i+1) .. (i, n-1) and ends before draw ends[i]
+    k = (rng.random(n * (n - 1) // 2) < p).nonzero()[0]
+    ends = np.arange(n - 1, 0, -1).cumsum()
+    i = ends.searchsorted(k, "right")
+    edges = np.empty((k.size, 2), dtype=np.int64)
+    edges[:, 0] = i
+    edges[:, 1] = k - ends[i] + n
+    return edges
 
 
 def _watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -481,6 +476,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 def ensemble_specs(spec: GraphSpec, realizations: int, master_seed: int):
     """Yield per-realization specs with seeds mixed from (master_seed, index)."""
+    require_int("realizations", realizations)
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     for i in range(realizations):

@@ -1,6 +1,7 @@
 """Graph construction: deterministic families, random families, Laplacians, I/O."""
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from crossnet import (
     laplacian_operator,
     write_edge_list,
 )
+from crossnet import graphs
+from crossnet.rng import rng_from
 from conftest import laplacian_from_edges
 
 
@@ -260,6 +263,32 @@ def test_erdos_renyi_degenerate_p():
     assert full.n_edges == 12 * 11 // 2
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 60, 301])
+def test_erdos_renyi_keeps_the_pairs_whose_draw_is_below_p(n, p):
+    # reference: one draw per pair i < j of np.triu_indices, from the same stream
+    i, j = np.triu_indices(n, k=1)
+    keep = rng_from(3, 0).random(i.size) < p
+    edges = graphs._erdos_renyi(n, p, rng_from(3, 0))
+    assert edges.dtype == np.int64 and edges.shape == (keep.sum(), 2)
+    assert np.array_equal(edges, np.column_stack((i[keep], j[keep])))
+
+
+def test_erdos_renyi_peaks_at_its_draw():
+    # the n(n-1)/2 uniforms are the largest array; a table of the pairs
+    # themselves would take twice their room
+    n = 2000
+    draw_bytes = 8 * n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_graph(GraphSpec(family="erdos-renyi", n=n, p=0.01, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.25 * draw_bytes
+
+
 def test_random_graphs_deterministic_per_seed():
     for family, kw in (
         ("erdos-renyi", {"p": 0.2}),
@@ -295,6 +324,18 @@ def test_ensemble_specs_distinct_seeds():
     again = [s.seed for s in ensemble_specs(spec, 16, master_seed=0)]
     assert seeds == again
     assert seeds != [s.seed for s in ensemble_specs(spec, 16, master_seed=1)]
+
+
+@pytest.mark.parametrize("realizations", [True, 2.5])
+def test_ensemble_specs_rejects_a_count_that_is_no_integer(realizations):
+    spec = GraphSpec(family="erdos-renyi", n=10, p=0.5)
+    with pytest.raises(ValueError, match="realizations must be an integer"):
+        list(ensemble_specs(spec, realizations, master_seed=0))
+
+
+def test_ensemble_specs_accepts_a_numpy_integer_count():
+    spec = GraphSpec(family="erdos-renyi", n=10, p=0.5)
+    assert len(list(ensemble_specs(spec, np.int64(3), master_seed=0))) == 3
 
 
 # sha256 of write_edge_list output, recorded before the array-native refactor;

@@ -106,3 +106,22 @@ def test_bench_efficiency_row_compares_the_default_workers_with_one(monkeypatch)
                                           "speedup": 1.5, "efficiency": 0.75}
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(8)))
     assert bench.efficiency_row(rows)["workers"] == 6
+
+
+def test_bench_graph_rows_time_build_graph_and_count_the_edges():
+    bench = load_bench()
+    assert set(bench.GRAPH_FAMILIES) == {"erdos-renyi", "watts-strogatz", "regular-random", "barabasi-albert"}
+    for family, params in bench.GRAPH_FAMILIES.items():
+        row = bench.graph_row(family, 40, repeats=2, **params)
+        assert row["name"] == f"graph-{family}-n40" and row["ms"] > 0
+        assert {key: row[key] for key in params} == params
+    row = bench.graph_row("watts-strogatz", 30, repeats=2, k=3, p=0.1)
+    assert row["n_edges"] == 90
+
+
+def test_bench_graph_gen_row_counts_the_edges():
+    row = load_bench().run_row("tiny-gen", [
+        "graph", "gen", "--set", "graph.family=erdos-renyi", "--set", "graph.n=30", "--set", "graph.p=1",
+    ], repeats=2)
+    assert row["counters"] == {"n_edges": 435}
+    assert len(row["peak_rss_mb"]) == 2 and row["median_peak_rss_mb"] > 0

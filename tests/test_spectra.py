@@ -184,6 +184,13 @@ def test_ensemble_eigenvalues_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("realizations", [True, 2.5])
+def test_ensemble_eigenvalues_rejects_a_count_that_is_no_integer(realizations):
+    spec = GraphSpec(family="erdos-renyi", n=10, p=0.5)
+    with pytest.raises(ValueError, match="realizations must be an integer"):
+        ensemble_eigenvalues(spec, realizations, master_seed=0)
+
+
 def test_ensemble_worker_count_does_not_change_results():
     spec = GraphSpec(family="erdos-renyi", n=15, p=0.4)
     serial = ensemble_eigenvalues(spec, 12, master_seed=5, workers=1)
