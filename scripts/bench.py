@@ -12,9 +12,13 @@ numpy and BLAS versions, the CPU count, the CPUs this process may use and
 the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
-The six-seed ring400 ``simulate`` and the README ER ensemble sweep are the
-``simulate-ring400`` and ``ensemble-er100`` workloads of ``perfbench/`` at
-workload seed 0, taken from ``perfbench/workloads.py``.  The ring400
+The default ``simulate`` runs at n = 100 and at n = 1000
+(``simulate-default``, ``simulate-default-n1000``).  The counters of a
+``simulate`` row include the data rows and bytes of its ``trajectory.csv``
+files, summed over the seeds.  The six-seed ring400 ``simulate`` and the
+README ER ensemble sweep are the ``simulate-ring400`` and
+``ensemble-er100`` workloads of ``perfbench/`` at workload seed 0, taken
+from ``perfbench/workloads.py``.  The ring400
 command runs twice, on its default workers (one forked process per CPU this
 process may run on, at most one per seed) and with
 ``experiment.threads=1``; ``ru_maxrss`` of ``os.wait4`` covers the reaped
@@ -103,6 +107,7 @@ def _unpinned(argv: list[str]) -> list[str]:
 
 COMMANDS = {
     "simulate-default": ["simulate"],
+    "simulate-default-n1000": ["simulate", "--set", "graph.n=1000"],
     "simulate-ring400": RING400,
     # the same command on one worker, for the parallel-efficiency row
     "simulate-ring400-threads1": [*RING400, *ONE_WORKER],
@@ -125,6 +130,12 @@ COMMANDS = {
 _CLI = "import sys; from crossnet.cli import main; sys.exit(main())"
 
 
+def _data_rows(path: Path) -> int:
+    """Lines of the CSV file ``path`` below its header."""
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh) - 1
+
+
 def counters(out: Path) -> dict:
     """Deterministic work counters of one command's output directory."""
     report = out / "report.json"
@@ -137,6 +148,9 @@ def counters(out: Path) -> dict:
             found["converged"] = sum(r["converged"] for r in runs)
             for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
                 found[key] = sum(r[key] for r in runs)
+            trajectories = sorted(out.rglob("trajectory.csv"))
+            found["trajectory_rows"] = sum(_data_rows(path) for path in trajectories)
+            found["trajectory_bytes"] = sum(path.stat().st_size for path in trajectories)
         return found
     manifest = json.loads((out / "manifest.json").read_text())
     if "realizations" in manifest:

@@ -48,11 +48,30 @@ __all__ = [
     "write_final_state_csv",
 ]
 
-_MAX_SAMPLES = 4096
+# with sample_dt unset, a run is sampled on a grid of t_max / _GRID_INTERVALS
+_GRID_INTERVALS = 1024
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances, stop tests and sampling of ``integrate_batch``.
+
+    - ``rel_tol``, ``abs_tol``: the error tolerances of each step, on the
+      scale ``abs_tol + rel_tol * max(|y|, |y_new|)`` per component.
+    - ``t_max``: the time at which a run stops (reason ``"t_max"``); it may
+      be infinite.
+    - ``steady_state_tol``: a run stops as converged (``"steady_state"``) once
+      the infinity norm of the right-hand side is at most this.
+    - ``max_steps``: a run stops (``"max_steps"``) after this many accepted
+      and rejected steps.
+    - ``sample_dt``: the spacing of the trajectory's sampling grid.  A run
+      keeps the state at its start, at the first accepted step at or past
+      each multiple of the spacing, and at its end, so at most one sample
+      per grid interval besides the start and the end.  Unset, the spacing
+      is ``t_max / 1024``; with ``t_max`` infinite that spacing is infinite
+      too, and the trajectory holds the start and the final state only.
+    """
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     t_max: float = 5000.0
@@ -89,8 +108,8 @@ class SimulationResult:
 
     final: np.ndarray  # (2, n) state at t_final
     t_final: float
-    times: np.ndarray
-    traj: np.ndarray  # (len(times), 2, n) sampled states
+    times: np.ndarray  # the start, the first accepted step at or past each sample_dt grid time, t_final
+    traj: np.ndarray  # (len(times), 2, n) states at those times
     positivity_violated: bool
     steps_accepted: int
     steps_rejected: int
@@ -201,38 +220,6 @@ _RKC_POWER_ITERATIONS = 50
 _UROUND = float(np.finfo(float).eps)
 
 
-class _SampleBuffer:
-    """Accepted-step samples with on-the-fly decimation to a bounded count."""
-
-    def __init__(self, sample_dt: float | None, t0: float, y0: np.ndarray):
-        self.sample_dt = sample_dt
-        self.times: list[float] = []
-        self.states: list[np.ndarray] = []
-        self._stride = 1
-        self._count = 0
-        self._next_time = t0 if sample_dt is None else t0 + sample_dt
-        self.record(t0, y0, force=True)
-
-    def record(self, t: float, y: np.ndarray, force: bool = False) -> None:
-        if not force:
-            if self.sample_dt is not None:
-                if t < self._next_time:
-                    return
-                self._next_time = (np.floor(t / self.sample_dt) + 1.0) * self.sample_dt
-            else:
-                self._count += 1
-                # keep accepted step k when the stride divides k (the start is
-                # step 0), the steps that halving by [::2] keeps
-                if self._count % self._stride:
-                    return
-        self.times.append(t)
-        self.states.append(y.copy())
-        if self.sample_dt is None and len(self.times) > _MAX_SAMPLES:
-            self.times = self.times[::2]
-            self.states = self.states[::2]
-            self._stride *= 2
-
-
 class _Member:
     """Step size, controller state, samples and counters of one state of a batch."""
 
@@ -240,7 +227,9 @@ class _Member:
         self.t = 0.0
         self.h = 0.0
         self.err_prev = 1e-4
-        self.buffer = _SampleBuffer(cfg.sample_dt, self.t, y0)
+        self.sample_dt = cfg.t_max / _GRID_INTERVALS if cfg.sample_dt is None else cfg.sample_dt
+        self.times, self.states = [self.t], [y0.copy()]  # the samples
+        self.next_sample = self.t + self.sample_dt
         self.evals = 0
         self.accepted = 0
         self.rejected = 0
@@ -262,14 +251,23 @@ class _Member:
     def done(self) -> bool:
         return self.result is not None or self.error is not None
 
+    def sample(self, y: np.ndarray) -> None:
+        """Keep ``y``, the state at an accepted step, if it is the first at or
+        past the next grid time."""
+        if self.t >= self.next_sample:
+            self.times.append(self.t)
+            self.states.append(y.copy())
+            self.next_sample = (np.floor(self.t / self.sample_dt) + 1.0) * self.sample_dt
+
     def finish(self, y: np.ndarray, reason: str) -> None:
-        if self.buffer.times[-1] != self.t:
-            self.buffer.record(self.t, y, force=True)
+        if self.times[-1] != self.t:
+            self.times.append(self.t)
+            self.states.append(y.copy())
         self.result = SimulationResult(
             final=y.reshape(2, -1).copy(),
             t_final=self.t,
-            times=np.asarray(self.buffer.times),
-            traj=np.array(self.buffer.states).reshape(len(self.buffer.times), 2, -1),
+            times=np.asarray(self.times),
+            traj=np.array(self.states).reshape(len(self.times), 2, -1),
             positivity_violated=self.positivity_violated,
             steps_accepted=self.accepted,
             steps_rejected=self.rejected,
@@ -280,7 +278,7 @@ class _Member:
             min_state=self.min_state,
             t_stiff=self.t_stiff,
         )
-        self.buffer = None  # the samples live on in traj alone
+        self.times = self.states = None  # the samples live on in traj alone
 
 
 def _first_error(members: list[_Member]) -> IntegrationError | None:
@@ -584,7 +582,7 @@ def integrate_batch(field, inits: Sequence[np.ndarray] | np.ndarray, cfg: Integr
         for j, residual, finite_j in zip(accepted, residuals, finite):
             m, err = members[j], errs[j]
             m.accepted += 1
-            m.buffer.record(m.t, y[j])
+            m.sample(y[j])
             m.residual = residual
             if residual <= cfg.steady_state_tol:
                 m.finish(y[j], "steady_state")

@@ -25,9 +25,7 @@ __all__ = ["PdeParams", "discretize_skt_1d", "stencil_rhs"]
 class PdeParams:
     """Continuum coefficients plus the discretization (interval length, points).
 
-    ``d1``/``d2`` are the linear diffusivities; the network model carries a
-    single linear diffusion coefficient, so mapping onto it requires
-    ``d1 == d2``.
+    ``d`` is the linear diffusivity of both species, as in the network model.
     """
 
     r1: float
@@ -36,8 +34,7 @@ class PdeParams:
     a2: float
     b1: float
     b2: float
-    d1: float = 0.0
-    d2: float = 0.0
+    d: float = 0.0
     d11: float = 0.0
     d22: float = 0.0
     d12: float = 0.0
@@ -62,10 +59,6 @@ def discretize_skt_1d(p: PdeParams) -> tuple[SktParams, Graph]:
     All transport coefficients are scaled by ``1 / h^2``; reaction
     coefficients pass through unchanged.
     """
-    if p.d1 != p.d2:
-        raise ValueError(
-            f"the network model has one linear diffusion coefficient; need d1 == d2, got {p.d1} and {p.d2}"
-        )
     scale = 1.0 / (p.h * p.h)
     params = SktParams(
         r1=p.r1,
@@ -74,7 +67,7 @@ def discretize_skt_1d(p: PdeParams) -> tuple[SktParams, Graph]:
         a2=p.a2,
         b1=p.b1,
         b2=p.b2,
-        d=p.d1 * scale,
+        d=p.d * scale,
         d11=p.d11 * scale,
         d22=p.d22 * scale,
         d12=p.d12 * scale,
@@ -97,7 +90,7 @@ def stencil_rhs(u: np.ndarray, v: np.ndarray, p: PdeParams) -> tuple[np.ndarray,
     """Direct finite-difference right-hand side of the 1-d system.
 
     Applies the second-difference stencil once to each species' flux,
-    ``d1*u + d11*u^2 + d12*u*v`` and its v counterpart, with the boundary
+    ``d*u + d11*u^2 + d12*u*v`` and its v counterpart, with the boundary
     handling described above.
     """
     if u.shape != v.shape or u.ndim != 1 or u.size != p.n:
@@ -105,6 +98,6 @@ def stencil_rhs(u: np.ndarray, v: np.ndarray, p: PdeParams) -> tuple[np.ndarray,
     scale = 1.0 / (p.h * p.h)
     fu, gv = reaction_terms(u, v, p)
     uv = u * v
-    du = fu + scale * _second_difference(p.d1 * u + p.d11 * (u * u) + p.d12 * uv)
-    dv = gv + scale * _second_difference(p.d2 * v + p.d22 * (v * v) + p.d21 * uv)
+    du = fu + scale * _second_difference(p.d * u + p.d11 * (u * u) + p.d12 * uv)
+    dv = gv + scale * _second_difference(p.d * v + p.d22 * (v * v) + p.d21 * uv)
     return du, dv

@@ -314,7 +314,7 @@ def test_criterion_11_stencil_matches_network_rhs():
     for n in (2, 17, 64):
         pde = PdeParams(
             r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
-            d1=0.03, d2=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.5,
+            d=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.5,
             ell=1.0, n=n,
         )
         net_params, g = discretize_skt_1d(pde)

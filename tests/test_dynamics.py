@@ -548,31 +548,36 @@ def test_sampling_honors_sample_dt():
     assert res.traj.shape == (res.times.size, 2, 10)
 
 
-def test_trajectory_buffer_is_bounded(monkeypatch):
-    # a rotation about (2, 2) never settles, so the run takes more accepted
-    # steps than the buffer holds and the buffer halves its samples
-    def rotation(y):
-        u, v = y[:, 0], y[:, 1]
-        return np.stack((2.0 - v, u - 2.0), axis=1)
+def _rotation(y):
+    # a rotation about (2, 2) from (3, 2) never settles, so a run takes many
+    # more accepted steps than it keeps samples
+    u, v = y[:, 0], y[:, 1]
+    return np.stack((2.0 - v, u - 2.0), axis=1)
 
-    accepted = [0.0]  # the start, then the time of every accepted step
-    record = dynamics._SampleBuffer.record
 
-    def recording(self, t, y, force=False):
-        if not force:
-            accepted.append(t)
-        record(self, t, y, force)
+_ROTATION_START = [np.array([[3.0], [2.0]])]
 
-    monkeypatch.setattr(dynamics._SampleBuffer, "record", recording)
-    res = integrate_batch(rotation, [np.array([[3.0], [2.0]])], IntegratorConfig(t_max=500.0, steady_state_tol=0.0))[0]
-    assert res.steps_accepted > 4096 and len(accepted) == res.steps_accepted + 1
-    assert res.times.size <= 4096
-    stride = accepted.index(res.times[1])
-    assert stride >= 2 and stride & (stride - 1) == 0
-    # every stride-th accepted step, then the final state as its own sample
-    assert res.steps_accepted % stride != 0
-    assert res.times.tolist() == accepted[::stride] + [res.t_final]
-    assert res.times[-1] == res.t_final
+
+def test_unset_sample_dt_samples_on_the_t_max_over_1024_grid():
+    cfg = IntegratorConfig(t_max=500.0, steady_state_tol=0.0)
+    res = integrate_batch(_rotation, _ROTATION_START, cfg)[0]
+    grid = integrate_batch(_rotation, _ROTATION_START, dataclasses.replace(cfg, sample_dt=500.0 / 1024))[0]
+    assert res.steps_accepted > 4096
+    assert np.array_equal(res.times, grid.times) and np.array_equal(res.traj, grid.traj)
+    # the start, at most one sample in each grid interval after the first, and the final state
+    assert res.times[0] == 0.0 and res.times[-1] == res.t_final == pytest.approx(500.0)
+    cells = np.floor(res.times[1:-1] / (500.0 / 1024))
+    assert cells.min() >= 1 and np.all(np.diff(cells) >= 1)
+    assert 1000 < res.times.size <= 1026
+    assert np.array_equal(res.traj[-1], res.final)
+
+
+def test_infinite_t_max_keeps_the_start_and_the_final_state():
+    cfg = IntegratorConfig(t_max=math.inf, steady_state_tol=0.0, max_steps=500)
+    res = integrate_batch(_rotation, _ROTATION_START, cfg)[0]
+    assert res.reason == "max_steps" and res.steps_accepted > 100
+    assert res.times.tolist() == [0.0, res.t_final]
+    assert np.array_equal(res.traj, [_ROTATION_START[0], res.final])
 
 
 def test_positivity_check_and_flag():

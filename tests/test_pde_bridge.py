@@ -9,7 +9,7 @@ from crossnet import PdeParams, build_laplacian, discretize_skt_1d, rhs, stencil
 
 def bench_pde(n: int, ell: float = 1.0) -> PdeParams:
     return PdeParams(r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
-                     d1=0.03, d2=0.03, d12=3.0, d21=0.0, ell=ell, n=n)
+                     d=0.03, d12=3.0, d21=0.0, ell=ell, n=n)
 
 
 def test_h_property():
@@ -27,12 +27,6 @@ def test_discretize_scales_by_h_squared():
     assert skt.d21 == 0.0
     # reaction coefficients pass through untouched
     assert (skt.r1, skt.r2, skt.a1, skt.a2, skt.b1, skt.b2) == (5.0, 2.0, 3.0, 3.0, 1.0, 1.0)
-
-
-def test_discretize_requires_equal_linear_diffusivities():
-    p = PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, d1=0.1, d2=0.2, n=5)
-    with pytest.raises(ValueError, match="d1 == d2"):
-        discretize_skt_1d(p)
 
 
 def test_param_validation():

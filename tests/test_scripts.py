@@ -75,8 +75,32 @@ def test_bench_row_runner_on_a_tiny_command():
     counters = row["counters"]
     assert counters["runs"] == 1 and counters["converged"] == 0
     assert counters["rhs_evaluations"] > counters["steps_accepted"] > 0
+    assert counters["trajectory_rows"] >= 2 and counters["trajectory_bytes"] > 0
     with pytest.raises(RuntimeError, match="exited 2: .*n must be >= 1"):
         bench.run_once(["simulate", "--set", "graph.n=0"])
+
+
+def test_bench_counters_sum_the_trajectory_files_over_the_seeds(tmp_path):
+    bench = load_bench()
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", bench._CLI, "simulate", "--set", "graph.n=12", "--set", "graph.k=2",
+         "--set", "integrator.t_max=2", "--set", "integrator.sample_dt=0.5", "--set", "experiment.seeds=[0,1]",
+         "--output-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    files = [out / f"seed_{seed}" / "trajectory.csv" for seed in (0, 1)]
+    counters = bench.counters(out)
+    assert counters["runs"] == 2
+    assert counters["trajectory_rows"] == sum(len(path.read_text().splitlines()) - 1 for path in files)
+    assert counters["trajectory_bytes"] == sum(path.stat().st_size for path in files)
+    # per seed the start and the end, and at most one sample per sample_dt grid time
+    assert 2 * 2 <= counters["trajectory_rows"] <= 2 * 5
+
+
+def test_bench_runs_the_default_simulate_at_n1000():
+    assert load_bench().COMMANDS["simulate-default-n1000"] == ["simulate", "--set", "graph.n=1000"]
 
 
 def test_bench_member_step_row_on_a_tiny_batch():
