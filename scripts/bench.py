@@ -23,9 +23,12 @@ command runs twice, on its default workers (one forked process per CPU this
 process may run on, at most one per seed) and with
 ``experiment.threads=1``; ``ru_maxrss`` of ``os.wait4`` covers the reaped
 workers too, as the largest single peak, not a sum.  The row
-``parallel-efficiency-ring400`` records the speed-up of the default over
-one worker, the ratio of their median walls, and that speed-up divided by
-the number of workers.  The ER sweep runs on one worker, as the workload
+``parallel-efficiency-ring400`` runs the two once more, in five
+fresh-process pairs whose first run alternates between them, so that a
+phase of the host's load falls on both runs of a pair; it records the
+speed-up of the default over one worker as the median of the pairwise
+ratios, with their quartiles, and that median divided by the number of
+workers.  The ER sweep runs on one worker, as the workload
 pins it, and on the default workers (``ensemble-er100-workers``), and an
 Erdos-Renyi ensemble with n = 1000, p = 0.05 and 24 realizations runs on
 the default workers (``ensemble-er1000-workers``).  ``graph gen`` and
@@ -49,7 +52,13 @@ In this process it also times, each row the best of three runs:
 - ``build_graph`` at seed 0 for each random family at n = 100, 1000 and
   4000, in milliseconds: Erdos-Renyi with p = 0.01, Watts-Strogatz with
   k = 15 and p = 0.1, regular-random with k = 8 and Barabasi-Albert with
-  k = 3; the row records the edge count.
+  k = 3; the row records the edge count;
+- each table writer at n = 100, 1000 and 4000, in milliseconds per file
+  (each batch's and the best), on the ring with k = 10:
+  ``write_trajectory_csv`` of 64 samples, ``write_final_state_csv``,
+  ``write_spectrum_csv`` of the ring's spectrum and ``write_edge_list``,
+  and ``write_edge_list`` again on the Erdos-Renyi graph with n = 4000,
+  p = 0.01 and seed 0; the row records the file's bytes.
 
 Usage: ``python3 scripts/bench.py LABEL`` writes ``BENCH_LABEL.json`` in the
 current directory.
@@ -64,6 +73,7 @@ import sys
 import tempfile
 import time
 import timeit
+import types
 from pathlib import Path
 
 # before numpy loads its BLAS; the child processes inherit it
@@ -79,6 +89,9 @@ RHS_SIZES = (100, 1000, 4000)
 RHS_BATCHES = (1, 6, 64)
 RING_K = 10
 GRAPH_SIZES = (100, 1000, 4000)
+WRITER_SIZES = (100, 1000, 4000)
+TRAJECTORY_SAMPLES = 64
+EFFICIENCY_PAIRS = 5
 GRAPH_FAMILIES = {
     "erdos-renyi": {"p": 0.01},
     "watts-strogatz": {"k": 15, "p": 0.1},
@@ -208,17 +221,24 @@ def _import_src() -> None:
         sys.path.insert(0, str(SRC))
 
 
-def efficiency_row(rows: list[dict]) -> dict:
-    """Speed-up and parallel efficiency of the six-seed ring400 command on its
-    default workers (one per CPU it may run on, at most one per seed) against
-    one worker."""
-    wall = {row["name"]: row["median_wall_s"] for row in rows}
-    seeds = next(row["counters"]["runs"] for row in rows if row["name"] == "simulate-ring400")
+def efficiency_row(default: list[str], one_worker: list[str], pairs: int = EFFICIENCY_PAIRS) -> dict:
+    """Speed-up and parallel efficiency of the six-seed ring400 command
+    ``default`` on its default workers (one per CPU it may run on, at most one
+    per seed) against ``one_worker``, the same command on one worker: the
+    median and quartiles of the wall ratios of ``pairs`` fresh-process pairs,
+    the first run of each pair alternating between the two commands."""
+    commands = {"default": default, "one": one_worker}
+    speedups = []
+    for i in range(pairs):
+        runs = {side: run_once(commands[side]) for side in (("default", "one") if i % 2 == 0 else ("one", "default"))}
+        speedups.append(runs["one"][0] / runs["default"][0])
+    seeds = runs["default"][2]["runs"]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, seeds)
-    speedup = wall["simulate-ring400-threads1"] / wall["simulate-ring400"]
-    return {"name": "parallel-efficiency-ring400", "workers": workers,
-            "speedup": speedup, "efficiency": speedup / workers}
+    q1, _, q3 = statistics.quantiles(speedups, n=4, method="inclusive")
+    speedup = statistics.median(speedups)
+    return {"name": "parallel-efficiency-ring400", "workers": workers, "pairs": pairs, "speedups": speedups,
+            "speedup": speedup, "speedup_quartiles": [q1, q3], "efficiency": speedup / workers}
 
 
 def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int = REPEATS) -> dict:
@@ -250,11 +270,15 @@ def member_step_row(batch: int, n: int = 100, t_max: float = 300.0, repeats: int
     }
 
 
-def _best_s(call, repeats: int) -> float:
-    """Best seconds per call over ``repeats`` batches of calls that each take >= 0.2 s."""
+def _runs_s(call, repeats: int) -> list[float]:
+    """Seconds per call in each of ``repeats`` batches of calls that each take >= 0.2 s."""
     timer = timeit.Timer(call)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeats, number=number)) / number
+    return [seconds / number for seconds in timer.repeat(repeat=repeats, number=number)]
+
+
+def _best_s(call, repeats: int) -> float:
+    return min(_runs_s(call, repeats))
 
 
 def rhs_row(n: int, batch: int, dense: bool, k: int = RING_K, repeats: int = REPEATS) -> dict:
@@ -308,6 +332,49 @@ def graph_row(family: str, n: int, repeats: int = REPEATS, **params) -> dict:
     }
 
 
+def writer_row(name: str, write, repeats: int = REPEATS, **info) -> dict:
+    """Milliseconds of ``write(path)``, which writes one file anew: each of
+    ``repeats`` batches as ``run_ms``, and their best."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        runs = [seconds * 1e3 for seconds in _runs_s(lambda: write(path), repeats)]
+        return {"name": name, **info, "bytes": path.stat().st_size, "run_ms": runs, "ms": min(runs)}
+
+
+def writer_rows(n: int, k: int = RING_K, samples: int = TRAJECTORY_SAMPLES, repeats: int = REPEATS) -> list[dict]:
+    """A ``writer_row`` for each table writer on the ring (n, k): a trajectory
+    of ``samples`` perturbed coexistence states, the last as the final state,
+    the ring's spectrum and its edge list."""
+    _import_src()
+    from crossnet.dynamics import perturb_homogeneous, write_final_state_csv, write_trajectory_csv
+    from crossnet.graphs import gen_ring, write_edge_list
+    from crossnet.spectra import ring_spectrum_closed_form, write_spectrum_csv
+    from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
+
+    g = gen_ring(n, k)
+    states = np.stack([perturb_homogeneous(equilibrium(p), n, 1e-2, seed) for seed in range(samples)])
+    run = types.SimpleNamespace(times=np.linspace(0.0, 100.0, samples), traj=states)
+    eigenvalues = ring_spectrum_closed_form(n, k)
+    return [
+        writer_row(f"write-trajectory-n{n}", lambda path: write_trajectory_csv(run, path), repeats,
+                   n=n, samples=samples),
+        writer_row(f"write-final-state-n{n}", lambda path: write_final_state_csv(states[-1], path), repeats, n=n),
+        writer_row(f"write-spectrum-n{n}", lambda path: write_spectrum_csv(eigenvalues, path), repeats, n=n),
+        writer_row(f"write-edge-list-ring-n{n}", lambda path: write_edge_list(g, path), repeats,
+                   n=n, n_edges=g.n_edges),
+    ]
+
+
+def er_edge_list_row(n: int = 4000, p: float = 0.01, repeats: int = REPEATS) -> dict:
+    """The ``writer_row`` of ``write_edge_list`` on the Erdos-Renyi graph (n, p) at seed 0."""
+    _import_src()
+    from crossnet.graphs import GraphSpec, build_graph, write_edge_list
+
+    g = build_graph(GraphSpec(family="erdos-renyi", n=n, p=p, seed=0))
+    return writer_row(f"write-edge-list-er-n{n}", lambda path: write_edge_list(g, path), repeats,
+                      n=n, p=p, n_edges=g.n_edges)
+
+
 def machine() -> dict:
     info = {
         "python": sys.version.split()[0],
@@ -340,9 +407,10 @@ def main(argv: list[str] | None = None) -> int:
         row = run_row(name, command)
         print(f"{name:<18} {row['median_wall_s']:8.3f} s {row['median_peak_rss_mb']:8.1f} MB", flush=True)
         rows.append(row)
-    row = efficiency_row(rows)
-    print(f"{row['name']:<18} {row['speedup']:8.2f} x on {row['workers']} workers, "
-          f"efficiency {row['efficiency']:.2f}", flush=True)
+    row = efficiency_row(COMMANDS["simulate-ring400"], COMMANDS["simulate-ring400-threads1"])
+    print(f"{row['name']:<18} {row['speedup']:8.2f} x (quartiles {row['speedup_quartiles'][0]:.2f}-"
+          f"{row['speedup_quartiles'][1]:.2f}) on {row['workers']} workers, efficiency {row['efficiency']:.2f}",
+          flush=True)
     rows.append(row)
     for batch in MEMBER_STEP_BATCHES:
         row = member_step_row(batch)
@@ -362,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
             row = graph_row(family, n, **params)
             print(f"{row['name']:<28} {row['ms']:10.2f} ms ({row['n_edges']} edges)", flush=True)
             rows.append(row)
+    for row in [r for n in WRITER_SIZES for r in writer_rows(n)] + [er_edge_list_row()]:
+        print(f"{row['name']:<28} {row['ms']:10.2f} ms ({row['bytes']} bytes)", flush=True)
+        rows.append(row)
     doc = {"label": label, "repeats": REPEATS, "machine": machine(), "source_lines": source_lines(), "rows": rows}
     path = Path(f"BENCH_{label}.json")
     path.write_text(json.dumps(doc, indent=2) + "\n")

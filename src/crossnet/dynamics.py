@@ -32,7 +32,7 @@ from .graphs import Graph, laplacian_operator
 from .parallel import _forked
 from .stability import Equilibrium, SktParams
 from .rng import rng_from
-from .textio import fmt_float
+from .textio import write_table
 
 __all__ = [
     "IntegratorConfig",
@@ -692,15 +692,9 @@ def pattern_metrics(final: np.ndarray, eq: Equilibrium) -> PatternMetrics:
 def write_trajectory_csv(result: SimulationResult, path) -> None:
     n = result.traj.shape[2]
     header = "t," + ",".join(f"u_{i}" for i in range(n)) + "," + ",".join(f"v_{i}" for i in range(n))
-    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"  # fmt_float's format, a row at a time
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, state in zip(result.times.tolist(), result.traj):
-            fh.write(row % (t, *state.ravel().tolist()))
+    write_table(path, header, ",".join(["%.17g"] * (2 * n + 1)),
+                ((t, *state.ravel().tolist()) for t, state in zip(result.times.tolist(), result.traj)))
 
 
 def write_final_state_csv(state: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("node,u,v\n")
-        for i, (u, v) in enumerate(zip(*state.tolist())):
-            fh.write(f"{i},{fmt_float(u)},{fmt_float(v)}\n")
+    write_table(path, "node,u,v", "%d,%.17g,%.17g", zip(range(state.shape[1]), *state.tolist()))

@@ -35,7 +35,7 @@ from .stability import (
     stability_report,
     unstable_mask,
 )
-from .textio import fmt_float, write_json
+from .textio import write_json, write_table
 
 __all__ = [
     "SweepSpec",
@@ -321,34 +321,28 @@ def write_run(out_dir, manifest: dict, *, report: dict | None = None, eigenvalue
 
 
 def write_ring_sweep(rows: list[RingSweepRow], out_dir: str) -> None:
-    """Long-format eigenvalue table plus a one-row-per-value summary."""
+    """Long-format eigenvalue table plus a one-row-per-value summary.
+
+    A sweep's window comes from one stability report, so each of its cells
+    is empty on every row or on none.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
-        fh.write("value,n,k,index,eigenvalue\n")
-        for row in rows:
-            for i, val in enumerate(row.eigenvalues):
-                fh.write(f"{row.value},{row.n},{row.k},{i},{fmt_float(val)}\n")
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("value,n,k,lambda_star,lambda_star_1,lambda_star_2,unstable_count\n")
-        for row in rows:
-            cells = [str(row.value), str(row.n), str(row.k)]
-            for x in (row.lambda_star, row.lambda_star_1, row.lambda_star_2):
-                cells.append("" if x is None else fmt_float(x))
-            cells.append(str(row.unstable_count))
-            fh.write(",".join(cells) + "\n")
+    write_table(os.path.join(out_dir, "spectra.csv"), "value,n,k,index,eigenvalue", "%s,%d,%d,%d,%.17g",
+                ((r.value, r.n, r.k, i, val) for r in rows for i, val in enumerate(r.eigenvalues.tolist())))
+    window = ("lambda_star", "lambda_star_1", "lambda_star_2")
+    given = [w for w in window if any(getattr(r, w) is not None for r in rows)]
+    write_table(os.path.join(out_dir, "summary.csv"), f"value,n,k,{','.join(window)},unstable_count",
+                f"%s,%d,%d,{','.join('%.17g' if w in given else '' for w in window)},%d",
+                ((r.value, r.n, r.k, *(getattr(r, w) for w in given), r.unstable_count) for r in rows))
 
 
 def write_lattice_comparison(results: dict[str, LatticeResult], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
-        fh.write("kind,rows,cols,n_nodes,index,eigenvalue\n")
-        for res in results.values():
-            for i, val in enumerate(res.eigenvalues):
-                fh.write(f"{res.kind},{res.rows},{res.cols},{res.n_nodes},{i},{fmt_float(val)}\n")
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("kind,rows,cols,n_nodes,unstable_count\n")
-        for res in results.values():
-            fh.write(f"{res.kind},{res.rows},{res.cols},{res.n_nodes},{len(res.unstable_modes)}\n")
+    write_table(os.path.join(out_dir, "spectra.csv"), "kind,rows,cols,n_nodes,index,eigenvalue", "%s,%d,%d,%d,%d,%.17g",
+                ((r.kind, r.rows, r.cols, r.n_nodes, i, val) for r in results.values()
+                 for i, val in enumerate(r.eigenvalues.tolist())))
+    write_table(os.path.join(out_dir, "summary.csv"), "kind,rows,cols,n_nodes,unstable_count", "%s,%d,%d,%d,%d",
+                ((r.kind, r.rows, r.cols, r.n_nodes, len(r.unstable_modes)) for r in results.values()))
 
 
 def write_ensemble_report(spec: SweepSpec, rows: list[EnsembleRow], out_dir: str) -> None:
@@ -358,20 +352,13 @@ def write_ensemble_report(spec: SweepSpec, rows: list[EnsembleRow], out_dir: str
     and full-degree conventions can be read side by side.
     """
     os.makedirs(out_dir, exist_ok=True)
-    half = spec.base.family in _HALF_DEGREE_FAMILIES and spec.swept == "k"
-    with open(os.path.join(out_dir, "ensemble.csv"), "w") as fh:
-        fh.write("value,index,mean,variance,realizations\n")
-        for row in rows:
-            for i in range(row.stats.mean.size):
-                fh.write(
-                    f"{row.value},{i},{fmt_float(row.stats.mean[i])},"
-                    f"{fmt_float(row.stats.variance[i])},{row.stats.realizations}\n"
-                )
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        header = "value,instability_fraction,mean_spectrum_unstable_count"
-        if half:
-            header = "k,k_half,instability_fraction,mean_spectrum_unstable_count"
-        fh.write(header + "\n")
-        for row in rows:
-            lead = f"{row.value},{row.value / 2:g}" if half else f"{row.value}"
-            fh.write(f"{lead},{fmt_float(row.instability_fraction)},{row.mean_spectrum_unstable_count}\n")
+    write_table(os.path.join(out_dir, "ensemble.csv"), "value,index,mean,variance,realizations", "%s,%d,%.17g,%.17g,%d",
+                ((r.value, i, mean, var, r.stats.realizations) for r in rows
+                 for i, (mean, var) in enumerate(zip(r.stats.mean.tolist(), r.stats.variance.tolist()))))
+    summary = os.path.join(out_dir, "summary.csv")
+    if spec.base.family in _HALF_DEGREE_FAMILIES and spec.swept == "k":
+        write_table(summary, "k,k_half,instability_fraction,mean_spectrum_unstable_count", "%s,%g,%.17g,%d",
+                    ((r.value, r.value / 2, r.instability_fraction, r.mean_spectrum_unstable_count) for r in rows))
+    else:
+        write_table(summary, "value,instability_fraction,mean_spectrum_unstable_count", "%s,%.17g,%d",
+                    ((r.value, r.instability_fraction, r.mean_spectrum_unstable_count) for r in rows))

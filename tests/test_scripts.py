@@ -123,13 +123,43 @@ def test_bench_rhs_and_operator_rows_on_a_tiny_ring():
 
 def test_bench_efficiency_row_compares_the_default_workers_with_one(monkeypatch):
     bench = load_bench()
-    rows = [{"name": "simulate-ring400", "median_wall_s": 1.0, "counters": {"runs": 6}},
-            {"name": "simulate-ring400-threads1", "median_wall_s": 1.5, "counters": {"runs": 6}}]
+    tiny = ["simulate", "--set", "graph.n=12", "--set", "graph.k=2", "--set", "integrator.t_max=1",
+            "--set", "experiment.seeds=[0,1,2]"]
+    one = [*tiny, *bench.ONE_WORKER]
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert bench.efficiency_row(rows) == {"name": "parallel-efficiency-ring400", "workers": 2,
-                                          "speedup": 1.5, "efficiency": 0.75}
+    row = bench.efficiency_row(tiny, one, pairs=2)
+    assert row["name"] == "parallel-efficiency-ring400" and row["workers"] == 2 and row["pairs"] == 2
+    assert len(row["speedups"]) == 2 and row["speedup"] == sum(row["speedups"]) / 2 > 0
+    assert row["efficiency"] == row["speedup"] / 2
+    # the first run of a pair alternates; the speed-up is the median pairwise ratio
+    calls, walls = [], iter([1.0, 1.5, 1.0, 2.0, 1.0, 3.0, 1.25, 1.0, 0.5, 1.0])
+
+    def run_once(argv):
+        calls.append(argv)
+        return next(walls), 40.0, {"runs": 6}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    row = bench.efficiency_row(tiny, one, pairs=5)
+    assert calls == [tiny, one, one, tiny, tiny, one, one, tiny, tiny, one]
+    assert row["speedups"] == [1.5, 0.5, 3.0, 1.25, 2.0]
+    assert row["speedup"] == 1.5 and row["speedup_quartiles"] == [1.25, 2.0]
+    assert row["workers"] == 2 and row["efficiency"] == 0.75
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert bench.efficiency_row(rows)["workers"] == 6
+    walls = iter([1.0] * 4)
+    assert bench.efficiency_row(tiny, one, pairs=2)["workers"] == 6
+
+
+def test_bench_writer_rows_time_every_table_writer():
+    bench = load_bench()
+    rows = bench.writer_rows(12, k=2, samples=3, repeats=2)
+    assert [row["name"] for row in rows] == [
+        "write-trajectory-n12", "write-final-state-n12", "write-spectrum-n12", "write-edge-list-ring-n12"
+    ]
+    assert all(row["ms"] > 0 and row["n"] == 12 and row["bytes"] > 0 for row in rows)
+    assert rows[0]["samples"] == 3 and rows[3]["n_edges"] == 24
+    row = bench.er_edge_list_row(n=30, p=1.0, repeats=2)
+    assert row["name"] == "write-edge-list-er-n30" and row["n_edges"] == 435
+    assert row["bytes"] == len("30\n") + sum(len(f"{i} {j}\n") for i in range(30) for j in range(i + 1, 30))
 
 
 def test_bench_graph_rows_time_build_graph_and_count_the_edges():
