@@ -3,7 +3,7 @@
 
 import argparse
 
-from crossnet import DEFAULT_SKT_PARAMS, lattice_comparison
+from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, lattice_comparison
 from crossnet.experiments import write_lattice_comparison
 
 
@@ -15,6 +15,11 @@ def main() -> None:
     args = ap.parse_args()
 
     dims = {kind: (args.rows, args.cols) for kind in ("hexagonal", "square", "triangular")}
+    try:
+        for kind, (rows, cols) in dims.items():
+            GraphSpec(family=f"{kind}-lattice", rows=rows, cols=cols)
+    except ValueError as exc:
+        ap.error(str(exc))
     results = lattice_comparison(dims, DEFAULT_SKT_PARAMS)
     write_lattice_comparison(results, args.out)
 

@@ -9,6 +9,7 @@ final states, stability report) land in --out/<label>/.
 import argparse
 
 from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, simulate_and_report
+from crossnet.config import ExperimentConfig
 
 RING_KS = (10, 15, 20)
 # a ring with k neighbors per side needs n >= 2k + 1 nodes
@@ -36,14 +37,19 @@ def main() -> None:
     if args.n < MIN_N:
         ap.error(f"--n must be at least {MIN_N} for the k = {max(RING_KS)} rings, got {args.n}")
 
-    cfg = IntegratorConfig(steady_state_tol=args.steady_tol, t_max=args.t_max)
+    try:
+        cfg = IntegratorConfig(steady_state_tol=args.steady_tol, t_max=args.t_max)
+        exp = ExperimentConfig(perturbation=args.perturbation, seeds=tuple(args.seeds))
+        cases = default_cases(args.n)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"{'case':<16} {'seed':>4} {'converged':>9} {'t_conv':>8} "
           f"{'heterogeneity':>13} {'du%':>8} {'dv%':>8}")
-    for label, spec in default_cases(args.n):
+    for label, spec in cases:
         runs = simulate_and_report(
             spec, DEFAULT_SKT_PARAMS,
-            seeds=tuple(args.seeds), cfg=cfg,
-            perturbation=args.perturbation,
+            seeds=exp.seeds, cfg=cfg,
+            perturbation=exp.perturbation,
             out_dir=f"{args.out}/{label}",
         )
         for run in runs:

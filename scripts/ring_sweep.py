@@ -18,13 +18,17 @@ def main() -> None:
     ap.add_argument("--out", default="results/ring_sweep", help="output directory")
     args = ap.parse_args()
 
-    radii = args.k if args.k else list(range(1, (args.n - 1) // 2 + 1))
-    spec = SweepSpec(
-        base=GraphSpec(family="ring", n=args.n, k=radii[0]),
-        swept="k",
-        values=tuple(radii),
-        skt=DEFAULT_SKT_PARAMS,
-    )
+    # at least k = 1, so that a ring too small for any radius fails its check
+    radii = args.k if args.k else list(range(1, max(2, (args.n - 1) // 2 + 1)))
+    try:
+        spec = SweepSpec(
+            base=GraphSpec(family="ring", n=args.n, k=radii[0]),
+            swept="k",
+            values=tuple(radii),
+            skt=DEFAULT_SKT_PARAMS,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     rows = ring_sweep(spec)
     write_ring_sweep(rows, args.out)
 

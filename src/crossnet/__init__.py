@@ -1,138 +1,26 @@
-"""Cross-diffusion instability analysis and simulation on networks."""
+"""Cross-diffusion instability analysis and simulation on networks.
 
-from .dynamics import (
-    IntegratorConfig,
-    PatternMetrics,
-    SimulationResult,
-    integrate_batch,
-    pattern_metrics,
-    perturb_homogeneous,
-    reaction_terms,
-    rhs,
-    simulate_skt,
-)
-from .errors import (
-    ConfigError,
-    CrossnetError,
-    EigenSolverError,
-    GenerationError,
-    IntegrationError,
-    NonCoexistenceError,
-    StabilityError,
-)
-from .graphs import (
-    DETERMINISTIC_FAMILIES,
-    RANDOM_FAMILIES,
-    BlockLaplacian,
-    Graph,
-    GraphSpec,
-    build_graph,
-    build_laplacian,
-    degrees,
-    ensemble_specs,
-    gen_lattice,
-    gen_path,
-    gen_random,
-    gen_ring,
-    is_connected,
-    laplacian_operator,
-    write_edge_list,
-)
-from .experiments import (
-    EnsembleRow,
-    LatticeResult,
-    RingSweepRow,
-    SeedRunResult,
-    SweepSpec,
-    ensemble_report,
-    lattice_comparison,
-    ring_sweep,
-    simulate_and_report,
-)
-from .pde_bridge import PdeParams, discretize_skt_1d, stencil_rhs
-from .rng import derive_seed, rng_from
-from .spectra import (
-    SpectralStats,
-    eig_symmetric,
-    path_spectrum_closed_form,
-    ring_spectrum_closed_form,
-    write_spectrum_csv,
-)
-from .stability import (
-    DEFAULT_SKT_PARAMS,
-    Equilibrium,
-    InstabilityReport,
-    SktParams,
-    classify_modes,
-    det_sign_scan,
-    equilibrium,
-    report_to_dict,
-    stability_report,
-    unstable_mask,
-)
+The package namespace is the concatenation of its modules' ``__all__``.
+"""
+
+from . import dynamics, errors, experiments, graphs, pde_bridge, rng, spectra, stability
+from .dynamics import *
+from .errors import *
+from .experiments import *
+from .graphs import *
+from .pde_bridge import *
+from .rng import *
+from .spectra import *
+from .stability import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockLaplacian",
-    "ConfigError",
-    "CrossnetError",
-    "DEFAULT_SKT_PARAMS",
-    "DETERMINISTIC_FAMILIES",
-    "EigenSolverError",
-    "EnsembleRow",
-    "Equilibrium",
-    "GenerationError",
-    "Graph",
-    "GraphSpec",
-    "InstabilityReport",
-    "IntegrationError",
-    "IntegratorConfig",
-    "LatticeResult",
-    "NonCoexistenceError",
-    "PatternMetrics",
-    "PdeParams",
-    "RANDOM_FAMILIES",
-    "RingSweepRow",
-    "SeedRunResult",
-    "SimulationResult",
-    "SktParams",
-    "SpectralStats",
-    "StabilityError",
-    "SweepSpec",
-    "build_graph",
-    "build_laplacian",
-    "classify_modes",
-    "degrees",
-    "derive_seed",
-    "det_sign_scan",
-    "discretize_skt_1d",
-    "eig_symmetric",
-    "ensemble_report",
-    "ensemble_specs",
-    "equilibrium",
-    "gen_lattice",
-    "gen_path",
-    "gen_random",
-    "gen_ring",
-    "integrate_batch",
-    "is_connected",
-    "laplacian_operator",
-    "lattice_comparison",
-    "path_spectrum_closed_form",
-    "pattern_metrics",
-    "perturb_homogeneous",
-    "reaction_terms",
-    "report_to_dict",
-    "rhs",
-    "ring_spectrum_closed_form",
-    "ring_sweep",
-    "rng_from",
-    "simulate_and_report",
-    "simulate_skt",
-    "stability_report",
-    "stencil_rhs",
-    "unstable_mask",
-    "write_edge_list",
-    "write_spectrum_csv",
-]
+__all__: list[str] = []
+__all__ += dynamics.__all__
+__all__ += errors.__all__
+__all__ += experiments.__all__
+__all__ += graphs.__all__
+__all__ += pde_bridge.__all__
+__all__ += rng.__all__
+__all__ += spectra.__all__
+__all__ += stability.__all__

@@ -29,7 +29,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, handler) -> None:
+    p.set_defaults(handler=handler)
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument(
         "--set",
@@ -52,16 +53,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="graph construction")
     graph_sub = graph.add_subparsers(dest="graph_command", required=True)
-    _add_common(graph_sub.add_parser("gen", help="generate a graph and write its edge list"))
+    _add_common(graph_sub.add_parser("gen", help="generate a graph and write its edge list"), cmd_graph_gen)
 
-    _add_common(sub.add_parser("spectrum", help="Laplacian spectrum of the configured graph"))
-    _add_common(sub.add_parser("stability", help="instability report for the configured model"))
-    _add_common(sub.add_parser("simulate", help="integrate the network dynamics from a perturbed equilibrium"))
-    _add_common(sub.add_parser("ensemble", help="spectral statistics over random-graph realizations"))
+    _add_common(sub.add_parser("spectrum", help="Laplacian spectrum of the configured graph"), cmd_spectrum)
+    _add_common(sub.add_parser("stability", help="instability report for the configured model"), cmd_stability)
+    _add_common(sub.add_parser("simulate", help="integrate the network dynamics from a perturbed equilibrium"),
+                cmd_simulate)
+    _add_common(sub.add_parser("ensemble", help="spectral statistics over random-graph realizations"), cmd_ensemble)
 
     config = sub.add_parser("config", help="configuration utilities")
     config_sub = config.add_subparsers(dest="config_command", required=True)
-    _add_common(config_sub.add_parser("dump", help="print the fully resolved config as JSON"))
+    _add_common(config_sub.add_parser("dump", help="print the fully resolved config as JSON"), cmd_config_dump)
 
     return parser
 
@@ -187,11 +189,11 @@ def cmd_ensemble(cfg: RunConfig, doc: dict) -> int:
         master_seed=cfg.master_seed,
     )
     rows = experiments.ensemble_report(sweep, workers=_workers(cfg))
-    experiments.write_ensemble_report(sweep, rows, out)
+    files = experiments.write_ensemble_report(sweep, rows, out)
     manifest = experiments.run_manifest(cfg.graph, skt=cfg.skt, master_seed=cfg.master_seed, extra={
         "command": "ensemble", "swept": swept, "values": list(values), "realizations": exp.realizations,
     })
-    files = ["ensemble.csv", "summary.csv", *experiments.write_run(out, manifest)]
+    files += experiments.write_run(out, manifest)
     _emit(
         {
             "output_dir": out,
@@ -214,16 +216,6 @@ def cmd_config_dump(cfg: RunConfig, doc: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    ("graph", "gen"): cmd_graph_gen,
-    ("spectrum", None): cmd_spectrum,
-    ("stability", None): cmd_stability,
-    ("simulate", None): cmd_simulate,
-    ("ensemble", None): cmd_ensemble,
-    ("config", "dump"): cmd_config_dump,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -240,11 +232,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    sub = getattr(args, "graph_command", None) or getattr(args, "config_command", None)
-    handler = _COMMANDS[(args.command, sub)]
     try:
         cfg, doc = _resolve(args)
-        return handler(cfg, doc)
+        return args.handler(cfg, doc)
     except ConfigError as exc:
         _emit({"error": "config", "message": str(exc)})
         return EXIT_CONFIG

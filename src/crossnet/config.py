@@ -54,17 +54,11 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
+# every GraphSpec field, in its order; an unset seed becomes master_seed
+_BLANK_GRAPH: dict = {f.name: None for f in dataclasses.fields(GraphSpec)} | {"require_connected": False}
+
 _DEFAULTS: dict = {
-    "graph": {
-        "family": "ring",
-        "n": 100,
-        "k": 10,
-        "p": None,
-        "rows": None,
-        "cols": None,
-        "seed": None,
-        "require_connected": False,
-    },
+    "graph": _BLANK_GRAPH | {"family": "ring", "n": 100, "k": 10},
     "skt": dataclasses.asdict(DEFAULT_SKT_PARAMS),
     "integrator": dataclasses.asdict(IntegratorConfig()),
     # as JSON reads it: tuples become lists
@@ -117,9 +111,6 @@ def apply_override(doc: dict, assignment: str) -> None:
         _set_key(doc, block, key, value)
     else:
         raise ConfigError(f"override target must have at most one dot, got {target!r}")
-
-
-_BLANK_GRAPH: dict = {key: None for key in _DEFAULTS["graph"]} | {"require_connected": False}
 
 
 def load_config_doc(path: str | None = None, overrides: list[str] | None = None) -> dict:

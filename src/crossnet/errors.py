@@ -6,6 +6,11 @@ numerical failures exit 3, I/O failures exit 4.
 """
 import numbers
 
+__all__ = [
+    "CrossnetError", "ConfigError", "GenerationError", "NonCoexistenceError",
+    "StabilityError", "EigenSolverError", "IntegrationError",
+]
+
 
 class CrossnetError(Exception):
     """Base class for all package-specific failures."""

@@ -54,11 +54,6 @@ __all__ = [
     "write_run",
 ]
 
-# degree-type parameters are also reported as half-degree, matching the
-# per-side convention of the ring families
-_HALF_DEGREE_FAMILIES = ("regular-random", "barabasi-albert")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept graph parameter with everything else held fixed.
@@ -345,20 +340,24 @@ def write_lattice_comparison(results: dict[str, LatticeResult], out_dir: str) ->
                 ((r.kind, r.rows, r.cols, r.n_nodes, len(r.unstable_modes)) for r in results.values()))
 
 
-def write_ensemble_report(spec: SweepSpec, rows: list[EnsembleRow], out_dir: str) -> None:
-    """Per-index ensemble statistics plus an instability-probability summary.
+def write_ensemble_report(spec: SweepSpec, rows: list[EnsembleRow], out_dir: str) -> list[str]:
+    """Per-index ensemble statistics plus an instability-probability summary;
+    returns the names of the two files.
 
-    Degree-type sweeps also carry the half-degree column so ring-convention
-    and full-degree conventions can be read side by side.
+    A regular-random k-sweep also carries the half-degree column so that its
+    full degree and the rings' per-side k can be read side by side.
     """
     os.makedirs(out_dir, exist_ok=True)
     write_table(os.path.join(out_dir, "ensemble.csv"), "value,index,mean,variance,realizations", "%s,%d,%.17g,%.17g,%d",
                 ((r.value, i, mean, var, r.stats.realizations) for r in rows
                  for i, (mean, var) in enumerate(zip(r.stats.mean.tolist(), r.stats.variance.tolist()))))
     summary = os.path.join(out_dir, "summary.csv")
-    if spec.base.family in _HALF_DEGREE_FAMILIES and spec.swept == "k":
+    # a regular-random k is the full degree, the rings' 2k; a Barabasi-Albert
+    # k, the edges per new node, gives a mean degree 2k(n-k)/n, about 2k
+    if spec.base.family == "regular-random" and spec.swept == "k":
         write_table(summary, "k,k_half,instability_fraction,mean_spectrum_unstable_count", "%s,%g,%.17g,%d",
                     ((r.value, r.value / 2, r.instability_fraction, r.mean_spectrum_unstable_count) for r in rows))
     else:
         write_table(summary, "value,instability_fraction,mean_spectrum_unstable_count", "%s,%.17g,%d",
                     ((r.value, r.instability_fraction, r.mean_spectrum_unstable_count) for r in rows))
+    return ["ensemble.csv", "summary.csv"]

@@ -28,6 +28,12 @@ from .errors import GenerationError, require_int, require_real
 from .rng import check_seed, derive_seed, rng_from
 from .textio import write_table
 
+__all__ = [
+    "DETERMINISTIC_FAMILIES", "RANDOM_FAMILIES", "Graph", "GraphSpec", "BlockLaplacian",
+    "gen_ring", "gen_path", "gen_lattice", "gen_random", "build_graph", "ensemble_specs",
+    "build_laplacian", "laplacian_operator", "degrees", "is_connected", "write_edge_list",
+]
+
 DETERMINISTIC_FAMILIES = (
     "ring",
     "path",

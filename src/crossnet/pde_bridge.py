@@ -11,7 +11,7 @@ entries equal 1), which gives an independent route for equivalence checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,19 +52,8 @@ def discretize_skt_1d(p: PdeParams) -> tuple[SktParams, Graph]:
     coefficients pass through unchanged.
     """
     scale = 1.0 / (p.h * p.h)
-    params = SktParams(
-        r1=p.r1,
-        r2=p.r2,
-        a1=p.a1,
-        a2=p.a2,
-        b1=p.b1,
-        b2=p.b2,
-        d=p.d * scale,
-        d11=p.d11 * scale,
-        d22=p.d22 * scale,
-        d12=p.d12 * scale,
-        d21=p.d21 * scale,
-    )
+    given = {f.name: getattr(p, f.name) for f in fields(SktParams)}
+    params = SktParams(**{name: value * scale if name.startswith("d") else value for name, value in given.items()})
     return params, gen_path(p.n)
 
 

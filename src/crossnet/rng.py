@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import require_int
 
+__all__ = ["rng_from", "derive_seed"]
+
 _MAX_SEED = 2**64
 
 

@@ -20,7 +20,7 @@ unstable eigenvalues computed below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import sqrt
 
 import numpy as np
@@ -69,8 +69,8 @@ class SktParams:
     d21: float = 0.0
 
     def __post_init__(self):
-        for name in ("r1", "r2", "a1", "a2", "b1", "b2", "d", "d11", "d22", "d12", "d21"):
-            val = getattr(self, name)
+        for field in fields(SktParams):
+            name, val = field.name, getattr(self, field.name)
             require_real(name, val)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"parameter {name} must be finite and >= 0, got {val}")

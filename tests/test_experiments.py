@@ -300,7 +300,7 @@ def test_write_ensemble_report_files(tmp_path):
     sweep = SweepSpec(base=base, swept="k", values=(4, 6), skt=P,
                       realizations=5, master_seed=0)
     rows = ensemble_report(sweep)
-    write_ensemble_report(sweep, rows, str(tmp_path))
+    assert write_ensemble_report(sweep, rows, str(tmp_path)) == ["ensemble.csv", "summary.csv"]
     ens = (tmp_path / "ensemble.csv").read_text().splitlines()
     assert ens[0] == "value,index,mean,variance,realizations"
     assert len(ens) == 1 + 2 * 20
@@ -308,3 +308,13 @@ def test_write_ensemble_report_files(tmp_path):
     # degree-type sweep: both the raw degree and the half-degree convention
     assert summary[0] == "k,k_half,instability_fraction,mean_spectrum_unstable_count"
     assert summary[1].startswith("4,2,")
+
+
+def test_barabasi_albert_k_sweep_has_no_half_degree_column(tmp_path):
+    # k is the edges per new node: the mean degree 2k(n-k)/n is already about 2k
+    sweep = SweepSpec(base=GraphSpec(family="barabasi-albert", n=20, k=2), swept="k", values=(2, 3), skt=P,
+                      realizations=3, master_seed=0)
+    write_ensemble_report(sweep, ensemble_report(sweep), str(tmp_path))
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0] == "value,instability_fraction,mean_spectrum_unstable_count"
+    assert [line.split(",")[0] for line in summary[1:]] == ["2", "3"]

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,17 @@ def test_script_writes_the_files_it_names(tmp_path, name, args):
     ("pattern_simulations.py", ("--n", "30", "--t-max", "5"), "at least 41"),
     # the default regular-random sweep needs k = 40 < n
     ("random_graph_ensembles.py", ("--n", "20", "--realizations", "3"), "regular-random requires"),
-], ids=["pattern_simulations", "random_graph_ensembles"])
+    # no radius fits a ring of two nodes
+    ("ring_sweep.py", ("--n", "2"), "ring requires n >= 3"),
+    ("ring_sweep.py", ("--k", "0"), "k must be >= 1"),
+    ("ring_sweep.py", ("--n", "10", "--k", "5"), "ring requires n >= 3 and 1 <= k <= (n-1)//2"),
+    ("lattice_comparison.py", ("--rows", "1"), "lattice requires rows >= 2"),
+    ("pattern_simulations.py", ("--seeds", "0", "0"), "seeds must be distinct"),
+    ("pattern_simulations.py", ("--perturbation", "2"), "perturbation must be >= 0 and < 1"),
+    ("pattern_simulations.py", ("--steady-tol", "-1"), "steady_state_tol must be non-negative"),
+], ids=["pattern_simulations", "random_graph_ensembles", "ring_sweep-n2", "ring_sweep-k0", "ring_sweep-k5-n10",
+        "lattice_comparison-rows1", "pattern_simulations-repeated-seed", "pattern_simulations-perturbation2",
+        "pattern_simulations-negative-steady-tol"])
 def test_script_rejects_too_small_n(tmp_path, name, args, reason):
     proc = run_script(tmp_path, name, *args)
     assert proc.returncode == 2
@@ -56,6 +67,12 @@ def test_pattern_simulations_writes_every_case(tmp_path):
         for name in ("report.json", "trajectory.csv", "final_state.csv"):
             path = tmp_path / "out" / case / name
             assert path.is_file() and path.stat().st_size > 0, path
+
+
+@pytest.fixture
+def one_call_per_batch(monkeypatch):
+    """Bench rows time each batch as one call instead of autoranging it to >= 0.2 s."""
+    monkeypatch.setattr(timeit.Timer, "autorange", lambda self, callback=None: (1, self.timeit(number=1)))
 
 
 def load_bench():
@@ -110,7 +127,23 @@ def test_bench_member_step_row_on_a_tiny_batch():
     assert row["us_per_member_step"] == min(row["run_us"]) / row["member_steps"]
 
 
-def test_bench_rhs_and_operator_rows_on_a_tiny_ring():
+def test_bench_row_on_the_real_timing_protocol(monkeypatch):
+    autoranged = []
+    autorange = timeit.Timer.autorange
+
+    def spy(self, callback=None):
+        autoranged.append(autorange(self, callback))
+        return autoranged[-1]
+
+    monkeypatch.setattr(timeit.Timer, "autorange", spy)
+    row = load_bench().rhs_row(12, 1, dense=True, k=2, repeats=1)
+    [(number, seconds)] = autoranged
+    # a call of a few microseconds is batched until the batch takes 0.2 s
+    assert number > 1 and seconds >= 0.2
+    assert 0 < row["us_per_state"] * 1e-6 < seconds / 2
+
+
+def test_bench_rhs_and_operator_rows_on_a_tiny_ring(one_call_per_batch):
     bench = load_bench()
     dense = bench.rhs_row(12, 2, dense=True, k=2, repeats=2)
     assert dense["name"] == "rhs-n12-B2-dense" and dense["form"] == "ndarray"
@@ -149,7 +182,7 @@ def test_bench_efficiency_row_compares_the_default_workers_with_one(monkeypatch)
     assert bench.efficiency_row(tiny, one, pairs=2)["workers"] == 6
 
 
-def test_bench_writer_rows_time_every_table_writer():
+def test_bench_writer_rows_time_every_table_writer(one_call_per_batch):
     bench = load_bench()
     rows = bench.writer_rows(12, k=2, samples=3, repeats=2)
     assert [row["name"] for row in rows] == [
@@ -162,7 +195,7 @@ def test_bench_writer_rows_time_every_table_writer():
     assert row["bytes"] == len("30\n") + sum(len(f"{i} {j}\n") for i in range(30) for j in range(i + 1, 30))
 
 
-def test_bench_graph_rows_time_build_graph_and_count_the_edges():
+def test_bench_graph_rows_time_build_graph_and_count_the_edges(one_call_per_batch):
     bench = load_bench()
     assert set(bench.GRAPH_FAMILIES) == {"erdos-renyi", "watts-strogatz", "regular-random", "barabasi-albert"}
     for family, params in bench.GRAPH_FAMILIES.items():
