@@ -13,14 +13,19 @@ the line counts of ``src/crossnet/*.py``, since timings taken on different
 machines, or at different times on a shared one, do not compare.
 
 The default ``simulate`` runs at n = 100 and at n = 1000
-(``simulate-default``, ``simulate-default-n1000``).  The counters of a
-``simulate`` row include the data rows and bytes of its ``trajectory.csv``
-files, summed over the seeds.  The six-seed ring400 ``simulate`` and the
-README ER ensemble sweep are the ``simulate-ring400`` and
-``ensemble-er100`` workloads of ``perfbench/`` at workload seed 0, taken
-from ``perfbench/workloads.py``.  The ring400
-command runs twice, on its default workers (one forked process per CPU this
-process may run on, at most one per seed) and with
+(``simulate-default``, ``simulate-default-n1000``).  ``simulate-decay``
+runs the ring with n = 30 and k = 3 at ``skt.d11=0.5`` and
+``skt.d22=0.2``, where no mode is unstable, so the perturbation decays
+back to the homogeneous state.  ``stability`` and ``stability-n4000`` run
+the default ``stability`` command (ring, k = 10: dense eigensolve of the
+Laplacian, then the instability window) at n = 100 and n = 4000.  The
+counters of a ``simulate`` row include the data rows and bytes of its
+``trajectory.csv`` files, summed over the seeds.  The six-seed ring400
+``simulate`` and the README ER ensemble sweep are the ``simulate-ring400``
+and ``ensemble-er100`` workloads of ``perfbench/`` at workload seed 0,
+taken from ``perfbench/workloads.py``.  The ring400 command runs twice,
+on its default workers (one forked process per CPU this process may run
+on, at most one per seed) and with
 ``experiment.threads=1``; ``ru_maxrss`` of ``os.wait4`` covers the reaped
 workers too, as the largest single peak, not a sum.  The row
 ``parallel-efficiency-ring400`` runs the two once more, in five
@@ -285,10 +290,10 @@ def rhs_row(n: int, batch: int, dense: bool, k: int = RING_K, repeats: int = REP
     """Microseconds per state of one ``rhs`` call on ``batch`` states of the ring (n, k)."""
     _import_src()
     from crossnet.dynamics import perturb_homogeneous, rhs
-    from crossnet.graphs import build_laplacian, gen_ring, laplacian_operator
+    from crossnet.graphs import GraphSpec, build_graph, build_laplacian, laplacian_operator
     from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
 
-    g = gen_ring(n, k)
+    g = build_graph(GraphSpec(family="ring", n=n, k=k))
     op = build_laplacian(g) if dense else laplacian_operator(g)
     y = np.stack([perturb_homogeneous(equilibrium(p), n, 1e-2, seed) for seed in range(batch)])
     return {
@@ -304,9 +309,9 @@ def rhs_row(n: int, batch: int, dense: bool, k: int = RING_K, repeats: int = REP
 def operator_row(n: int = 4000, k: int = RING_K, repeats: int = REPEATS) -> dict:
     """Milliseconds of ``laplacian_operator`` on the ring (n, k), from its graph."""
     _import_src()
-    from crossnet.graphs import gen_ring, laplacian_operator
+    from crossnet.graphs import GraphSpec, build_graph, laplacian_operator
 
-    g = gen_ring(n, k)
+    g = build_graph(GraphSpec(family="ring", n=n, k=k))
     return {
         "name": f"laplacian-operator-n{n}",
         "n": n,
@@ -347,11 +352,11 @@ def writer_rows(n: int, k: int = RING_K, samples: int = TRAJECTORY_SAMPLES, repe
     the ring's spectrum and its edge list."""
     _import_src()
     from crossnet.dynamics import perturb_homogeneous, write_final_state_csv, write_trajectory_csv
-    from crossnet.graphs import gen_ring, write_edge_list
+    from crossnet.graphs import GraphSpec, build_graph, write_edge_list
     from crossnet.spectra import ring_spectrum_closed_form, write_spectrum_csv
     from crossnet.stability import DEFAULT_SKT_PARAMS as p, equilibrium
 
-    g = gen_ring(n, k)
+    g = build_graph(GraphSpec(family="ring", n=n, k=k))
     states = np.stack([perturb_homogeneous(equilibrium(p), n, 1e-2, seed) for seed in range(samples)])
     run = types.SimpleNamespace(times=np.linspace(0.0, 100.0, samples), traj=states)
     eigenvalues = ring_spectrum_closed_form(n, k)

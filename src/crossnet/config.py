@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("sweep_param and sweep_values must be given together")
         if self.sweep_values is not None and len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be non-empty")
+        values = self.sweep_values or ()
+        if any(value in values[:i] for i, value in enumerate(values)):
+            # a repeat would compute and write the same rows twice
+            raise ValueError(f"sweep_values must be distinct, got {list(values)}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -158,7 +162,7 @@ def build_run_config(doc: dict) -> RunConfig:
     """Typed RunConfig from a resolved dict; validation errors become ConfigError."""
     try:
         # before the graph block, which inherits master_seed as its seed
-        require_int("master_seed", doc["master_seed"])
+        check_seed(doc["master_seed"], "master_seed")
         graph = GraphSpec(**doc["graph"])
         skt = SktParams(**doc["skt"])
         integrator = IntegratorConfig(**doc["integrator"])

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .errors import require_int
 from .graphs import Graph, GraphSpec, build_graph, build_laplacian, write_edge_list
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .stability import (
     DEFAULT_SKT_PARAMS,
     SktParams,
@@ -75,7 +75,10 @@ class SweepSpec:
             raise ValueError(f"swept must be 'k', 'n' or 'p', got {self.swept!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
+        if any(value in self.values[:i] for i, value in enumerate(self.values)):
+            raise ValueError(f"values must be distinct, got {list(self.values)}")
         require_int("realizations", self.realizations)
+        check_seed(self.master_seed, "master_seed")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         # a value that makes no graph fails here, not after the values before it ran

@@ -20,7 +20,10 @@ each arriving node.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,26 +32,9 @@ from .rng import check_seed, derive_seed, rng_from
 from .textio import write_table
 
 __all__ = [
-    "DETERMINISTIC_FAMILIES", "RANDOM_FAMILIES", "Graph", "GraphSpec", "BlockLaplacian",
-    "gen_ring", "gen_path", "gen_lattice", "gen_random", "build_graph", "ensemble_specs",
-    "build_laplacian", "laplacian_operator", "degrees", "is_connected", "write_edge_list",
+    "DETERMINISTIC_FAMILIES", "RANDOM_FAMILIES", "Graph", "GraphSpec", "BlockLaplacian", "build_graph",
+    "ensemble_specs", "build_laplacian", "laplacian_operator", "degrees", "is_connected", "write_edge_list",
 ]
-
-DETERMINISTIC_FAMILIES = (
-    "ring",
-    "path",
-    "triangular-lattice",
-    "square-lattice",
-    "hexagonal-lattice",
-)
-RANDOM_FAMILIES = (
-    "regular-random",
-    "watts-strogatz",
-    "erdos-renyi",
-    "barabasi-albert",
-)
-FAMILIES = DETERMINISTIC_FAMILIES + RANDOM_FAMILIES
-LATTICE_KINDS = ("triangular", "square", "hexagonal")
 
 _CONNECTIVITY_RETRIES = 100
 
@@ -140,7 +126,8 @@ class GraphSpec:
         self.validate()
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
+        entry = _FAMILIES.get(self.family)
+        if entry is None:
             raise ValueError(f"unknown graph family {self.family!r}; choose from {FAMILIES}")
         check_seed(self.seed)
         if not isinstance(self.require_connected, bool):
@@ -150,35 +137,20 @@ class GraphSpec:
                 require_int(name, getattr(self, name))
         if self.p is not None:
             require_real("p", self.p)
-        lattice = self.family.endswith("-lattice")
-        if lattice:
-            if self.rows is None or self.cols is None:
-                raise ValueError(f"{self.family} requires rows and cols")
-            if self.n is not None:
-                raise ValueError(f"{self.family} takes rows/cols, not n")
-        else:
-            if self.n is None:
-                raise ValueError(f"{self.family} requires n")
-            if self.rows is not None or self.cols is not None:
-                raise ValueError(f"{self.family} does not take rows/cols")
-        needs_k = self.family in ("ring", "watts-strogatz", "regular-random", "barabasi-albert")
-        if needs_k and self.k is None:
-            raise ValueError(f"{self.family} requires k")
-        if not needs_k and self.k is not None:
-            raise ValueError(f"{self.family} does not take k")
-        needs_p = self.family in ("watts-strogatz", "erdos-renyi")
-        if needs_p and self.p is None:
-            raise ValueError(f"{self.family} requires p")
-        if not needs_p and self.p is not None:
-            raise ValueError(f"{self.family} does not take p")
+        for group in (("n",), ("rows", "cols"), ("k",), ("p",)):
+            given = [getattr(self, name) is not None for name in group]
+            if group[0] in entry.takes and not all(given):
+                raise ValueError(f"{self.family} requires {' and '.join(group)}")
+            if group[0] not in entry.takes and any(given):
+                # only lattices, whose node count is rows x cols, do not take n
+                problem = "takes rows/cols, not n" if group == ("n",) else f"does not take {'/'.join(group)}"
+                raise ValueError(f"{self.family} {problem}")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.n is not None and self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if lattice and (self.rows < 2 or self.cols < 2):
-            raise ValueError(f"lattice requires rows >= 2 and cols >= 2, got {self.rows}x{self.cols}")
         n, k = self.n, self.k
         if self.family in ("ring", "watts-strogatz"):
             _check_ring(self.family, n, k)
@@ -188,49 +160,34 @@ class GraphSpec:
             raise ValueError(f"regular-random requires 0 < k < n and n*k even, got n={n}, k={k}")
         elif self.family == "barabasi-albert" and k > n - 1:
             raise ValueError(f"barabasi-albert requires 1 <= k <= n-1, got n={n}, k={k}")
+        elif "rows" in entry.takes and (self.rows < 2 or self.cols < 2):
+            raise ValueError(f"lattice requires rows >= 2 and cols >= 2, got {self.rows}x{self.cols}")
 
 
 def _check_ring(family: str, n: int, k: int) -> None:
-    """ValueError unless ``n`` nodes can each take ``k`` ring neighbors per side (see gen_ring)."""
+    """ValueError unless ``n`` nodes can each take ``k`` ring neighbors per side (see _ring)."""
     if n < 3 or not 1 <= k <= (n - 1) // 2:
         raise ValueError(f"{family} requires n >= 3 and 1 <= k <= (n-1)//2, got n={n}, k={k}")
 
 
-def gen_ring(n: int, k: int) -> Graph:
-    """Ring of ``n`` nodes, each joined to its ``k`` nearest neighbors per side.
-
-    Every node has degree ``2k`` and the graph has ``n*k`` edges.  Requires
-    ``n >= 3`` and ``1 <= k <= (n - 1) // 2`` so that no wrap-around edge is
-    counted twice.
-    """
-    _check_ring("ring", n, k)
+def _ring(n: int, k: int) -> np.ndarray:
+    # each node joined to its k nearest neighbors per side: degree 2k, n*k
+    # edges, and no wrap-around edge counted twice while k <= (n-1)//2
     i = np.repeat(np.arange(n), k)
     j = (i + np.tile(np.arange(1, k + 1), n)) % n
-    return Graph(n, np.column_stack((i, j)))
+    return np.column_stack((i, j))
 
 
-def gen_path(n: int) -> Graph:
-    """Path of ``n >= 2`` nodes: edges (i, i+1)."""
-    if n < 2:
-        raise ValueError(f"path requires n >= 2, got {n}")
+def _path(n: int) -> np.ndarray:
     i = np.arange(n - 1)
-    return Graph(n, np.column_stack((i, i + 1)))
+    return np.column_stack((i, i + 1))
 
 
-def gen_lattice(kind: str, rows: int, cols: int) -> Graph:
-    """Finite planar lattice patch with open (non-periodic) boundary.
-
-    ``square``: rows x cols grid, interior degree 4.  ``triangular``: the
-    grid plus one parallel diagonal per unit cell, interior degree 6.
-    ``hexagonal``: brick-wall layout, full horizontal rows with vertical
-    edges at alternating parity, so every degree is at most 3.  Node (r, c)
-    has index ``r * cols + c``.
-    """
-    if kind not in LATTICE_KINDS:
-        raise ValueError(f"unknown lattice kind {kind!r}; choose from {LATTICE_KINDS}")
-    if rows < 2 or cols < 2:
-        raise ValueError(f"lattice requires rows >= 2 and cols >= 2, got {rows}x{cols}")
-
+def _lattice(kind: str, rows: int, cols: int) -> np.ndarray:
+    # planar patch, open boundary, node (r, c) at r*cols + c.  square: the grid,
+    # interior degree 4; triangular: plus one parallel diagonal per unit cell,
+    # interior degree 6; hexagonal: brick wall, full horizontal rows with
+    # vertical edges at alternating parity, so every degree is at most 3
     node = np.arange(rows * cols).reshape(rows, cols)
     pairs = [(node[:, :-1], node[:, 1:])]  # horizontal
     if kind == "hexagonal":
@@ -241,8 +198,7 @@ def gen_lattice(kind: str, rows: int, cols: int) -> Graph:
         pairs.append((node[:-1], node[1:]))
     if kind == "triangular":
         pairs.append((node[:-1, :-1], node[1:, 1:]))
-    edges = [np.column_stack((a.ravel(), b.ravel())) for a, b in pairs]
-    return Graph(rows * cols, np.concatenate(edges))
+    return np.concatenate([np.column_stack((a.ravel(), b.ravel())) for a, b in pairs])
 
 
 def _edge_array(edges: set[tuple[int, int]]) -> np.ndarray:
@@ -338,43 +294,44 @@ def _barabasi_albert(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return _edge_array(edges)
 
 
-def gen_random(spec: GraphSpec) -> Graph:
-    """Build one realization of a random-family spec.
+class _Family(NamedTuple):
+    takes: tuple[str, ...]  # the GraphSpec size fields, in the order ``edges`` takes them
+    edges: Callable[..., np.ndarray]  # a random family's builder also takes a Generator, last
+    random: bool = False
 
-    The same (spec, seed) always yields the identical edge set.  When
-    ``require_connected`` is set, disconnected draws are rejected and
-    retried with seeds derived from (seed, attempt), up to a fixed bound.
-    """
-    if spec.family not in RANDOM_FAMILIES:
-        raise ValueError(f"{spec.family!r} is not a random family")
-    attempts = _CONNECTIVITY_RETRIES if spec.require_connected else 1
-    for attempt in range(attempts):
-        rng = rng_from(spec.seed, attempt)
-        if spec.family == "erdos-renyi":
-            edges = _erdos_renyi(spec.n, spec.p, rng)
-        elif spec.family == "watts-strogatz":
-            edges = _watts_strogatz(spec.n, spec.k, spec.p, rng)
-        elif spec.family == "regular-random":
-            edges = _regular_random(spec.n, spec.k, rng)
-        else:
-            edges = _barabasi_albert(spec.n, spec.k, rng)
-        g = Graph(spec.n, edges)
-        if not spec.require_connected or is_connected(g):
-            return g
-    raise GenerationError(
-        f"no connected {spec.family} realization in {attempts} attempts (seed {spec.seed})"
-    )
+
+_FAMILIES = {
+    "ring": _Family(("n", "k"), _ring),
+    "path": _Family(("n",), _path),
+    "triangular-lattice": _Family(("rows", "cols"), partial(_lattice, "triangular")),
+    "square-lattice": _Family(("rows", "cols"), partial(_lattice, "square")),
+    "hexagonal-lattice": _Family(("rows", "cols"), partial(_lattice, "hexagonal")),
+    "regular-random": _Family(("n", "k"), _regular_random, random=True),
+    "watts-strogatz": _Family(("n", "k", "p"), _watts_strogatz, random=True),
+    "erdos-renyi": _Family(("n", "p"), _erdos_renyi, random=True),
+    "barabasi-albert": _Family(("n", "k"), _barabasi_albert, random=True),
+}
+FAMILIES = tuple(_FAMILIES)
+DETERMINISTIC_FAMILIES = tuple(name for name, entry in _FAMILIES.items() if not entry.random)
+RANDOM_FAMILIES = tuple(name for name, entry in _FAMILIES.items() if entry.random)
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    """Dispatch a GraphSpec to the matching generator."""
-    if spec.family == "ring":
-        return gen_ring(spec.n, spec.k)
-    if spec.family == "path":
-        return gen_path(spec.n)
-    if spec.family.endswith("-lattice"):
-        return gen_lattice(spec.family.removesuffix("-lattice"), spec.rows, spec.cols)
-    return gen_random(spec)
+    """The graph ``spec`` describes; the same (spec, seed) always yields the same edges.
+
+    With ``require_connected`` set, a disconnected draw of a random family is
+    retried with seeds derived from (seed, attempt), up to a fixed bound.
+    """
+    entry = _FAMILIES[spec.family]
+    args = [getattr(spec, name) for name in entry.takes]
+    n = spec.n if spec.n is not None else spec.rows * spec.cols
+    attempts = _CONNECTIVITY_RETRIES if spec.require_connected else 1
+    for attempt in range(attempts):
+        rng = [rng_from(spec.seed, attempt)] if entry.random else []
+        g = Graph(n, entry.edges(*args, *rng))
+        if not spec.require_connected or is_connected(g):
+            return g
+    raise GenerationError(f"no connected {spec.family} realization in {attempts} attempts (seed {spec.seed})")
 
 
 def build_laplacian(g: Graph) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import require_int, require_real
-from .graphs import Graph, gen_path
+from .graphs import Graph, GraphSpec, build_graph
 from .stability import SktParams
 from .dynamics import reaction_terms
 
@@ -54,7 +54,7 @@ def discretize_skt_1d(p: PdeParams) -> tuple[SktParams, Graph]:
     scale = 1.0 / (p.h * p.h)
     given = {f.name: getattr(p, f.name) for f in fields(SktParams)}
     params = SktParams(**{name: value * scale if name.startswith("d") else value for name, value in given.items()})
-    return params, gen_path(p.n)
+    return params, build_graph(GraphSpec(family="path", n=p.n))
 
 
 def _second_difference(w: np.ndarray) -> np.ndarray:

@@ -335,6 +335,31 @@ def test_family_parameters_that_make_no_graph_are_a_config_error(capsys, tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("ensemble", *_ER, "--set", "experiment.realizations=3"),
+    ("config", "dump"),
+    ("graph", "gen"),
+], ids=["ensemble", "config-dump", "graph-gen"])
+def test_master_seed_outside_64_bits_is_a_config_error_whatever_the_graph_seed(capsys, tmp_path, args):
+    # an explicit graph.seed leaves master_seed to the ensemble seeds alone
+    out_dir = tmp_path / "seeded"
+    code, out = run_cli(capsys, *args, "--output-dir", str(out_dir), "--set", "graph.seed=0", "--master-seed", "-1")
+    assert code == 2, out
+    assert json.loads(out) == {"error": "config", "message": "master_seed must be an unsigned 64-bit integer, got -1"}
+    assert not out_dir.exists()
+
+
+def test_a_repeated_swept_value_is_a_config_error(capsys, tmp_path):
+    out_dir = tmp_path / "sweep"
+    code, out = run_cli(
+        capsys, "ensemble", "--output-dir", str(out_dir), *_ER, "--set", "experiment.realizations=3",
+        "--set", "experiment.sweep_param=p", "--set", "experiment.sweep_values=[0.3,0.1,0.3]",
+    )
+    assert code == 2, out
+    assert json.loads(out) == {"error": "config", "message": "sweep_values must be distinct, got [0.3, 0.1, 0.3]"}
+    assert not out_dir.exists()
+
+
 def test_a_swept_value_that_makes_no_graph_is_a_config_error_naming_its_index(capsys, tmp_path):
     code, out = run_cli(
         capsys, "ensemble", "--output-dir", str(tmp_path / "sweep"),

@@ -22,8 +22,6 @@ from crossnet import (
     build_laplacian,
     eig_symmetric,
     equilibrium,
-    gen_path,
-    gen_ring,
     integrate_batch,
     pattern_metrics,
     perturb_homogeneous,
@@ -64,7 +62,7 @@ def test_single_node_logistic_matches_closed_form():
 
 
 def test_pure_diffusion_matches_matrix_exponential():
-    g = gen_ring(16, 2)
+    g = build_graph(GraphSpec(family="ring", n=16, k=2))
     lap = build_laplacian(g)
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=0.4)
     rng = np.random.default_rng(3)
@@ -80,7 +78,7 @@ def test_pure_diffusion_matches_matrix_exponential():
 
 
 def test_pure_diffusion_conserves_totals():
-    g = gen_ring(12, 1)
+    g = build_graph(GraphSpec(family="ring", n=12, k=1))
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=0.2, d12=1.0, d21=0.5)
     rng = np.random.default_rng(4)
     u0 = rng.uniform(0.5, 2.0, 12)
@@ -94,7 +92,7 @@ def test_pure_diffusion_conserves_totals():
 
 def test_homogeneous_equilibrium_converges_immediately():
     eq = equilibrium(P)
-    g = gen_ring(10, 2)
+    g = build_graph(GraphSpec(family="ring", n=10, k=2))
     init = np.array((np.full(10, eq.u_star), np.full(10, eq.v_star)))
     res = simulate_skt(P, g, [init], IntegratorConfig())[0]
     assert res.converged
@@ -107,7 +105,7 @@ def test_homogeneous_equilibrium_converges_immediately():
 def _stiff_diffusion(rel_tol: float, t_end: float = 5.0):
     """Pure diffusion on a ring whose fast modes make DP5 hand over to RKC,
     and its exact final state."""
-    g = gen_ring(50, 5)
+    g = build_graph(GraphSpec(family="ring", n=50, k=5))
     lap = build_laplacian(g)
     p = SktParams(r1=0.0, r2=0.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=5.0)
     rng = np.random.default_rng(3)
@@ -227,7 +225,7 @@ def test_reaction_terms_zero_at_equilibrium():
 def test_rhs_zero_coupling_reduces_to_reaction():
     u = np.array([0.5, 1.0, 2.0])
     v = np.array([0.1, 0.2, 0.3])
-    lap = build_laplacian(gen_path(3))
+    lap = build_laplacian(build_graph(GraphSpec(family="path", n=3)))
     p = SktParams(r1=2.0, r2=1.0, a1=1.0, a2=1.0, b1=0.5, b2=0.5)
     y = np.stack((u, v))
     du, dv = rhs(y, p, lap)
@@ -261,7 +259,7 @@ class _CountingLaplacian:
 
 
 def test_rhs_applies_the_laplacian_once_per_call():
-    lap = build_laplacian(gen_ring(12, 3))
+    lap = build_laplacian(build_graph(GraphSpec(family="ring", n=12, k=3)))
     rng = np.random.default_rng(5)
     u = rng.uniform(0.1, 2.0, 12)
     v = rng.uniform(0.1, 2.0, 12)
@@ -295,7 +293,7 @@ def test_rhs_matches_bruteforce_formula():
     # random asymmetric matrix checks that transport is lap @ flux for any
     # square lap, not only for a symmetric Laplacian
     rng = np.random.default_rng(8)
-    g = gen_ring(7, 2)
+    g = build_graph(GraphSpec(family="ring", n=7, k=2))
     operators = (build_laplacian(g), np.random.default_rng(9).normal(size=(7, 7)))
     cases = [SktParams(r1=5.0, r2=2.0, a1=3.0, a2=3.0, b1=1.0, b2=1.0,
                        d=0.03, d11=0.1, d22=0.2, d12=3.0, d21=0.7)]
@@ -341,7 +339,7 @@ def test_rhs_linearization_is_the_stability_mode_matrix():
     # along each Laplacian eigenpair (lam, phi) the simulated right-hand side
     # must linearize to J - lam*D, the matrix the stability analysis uses;
     # the rhs is quadratic, so central differences are exact up to rounding
-    lap = build_laplacian(gen_ring(9, 2))
+    lap = build_laplacian(build_graph(GraphSpec(family="ring", n=9, k=2)))
     vals, vecs = np.linalg.eigh(lap)
     rng = np.random.default_rng(31)
     h = 1e-3
@@ -427,7 +425,7 @@ def test_converged_flag_is_sound():
 
 
 def test_t_max_stop_reason():
-    g = gen_ring(10, 2)
+    g = build_graph(GraphSpec(family="ring", n=10, k=2))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
     res = simulate_skt(P, g, [init], IntegratorConfig(t_max=1.0, steady_state_tol=1e-30))[0]
@@ -437,7 +435,7 @@ def test_t_max_stop_reason():
 
 
 def test_max_steps_stop_reason():
-    g = gen_ring(10, 2)
+    g = build_graph(GraphSpec(family="ring", n=10, k=2))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
     res = simulate_skt(P, g, [init], IntegratorConfig(max_steps=5, steady_state_tol=1e-30))[0]
@@ -509,7 +507,7 @@ def test_nonfinite_initial_state_raises_before_any_step():
 
 
 def test_integrator_deterministic():
-    g = gen_ring(20, 3)
+    g = build_graph(GraphSpec(family="ring", n=20, k=3))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 20, magnitude=1e-2, seed=5)
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-30)
@@ -535,7 +533,7 @@ def test_tighter_tolerance_reduces_error():
 
 
 def test_sampling_honors_sample_dt():
-    g = gen_ring(10, 2)
+    g = build_graph(GraphSpec(family="ring", n=10, k=2))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 10, magnitude=1e-2, seed=0)
     res = simulate_skt(P, g, [init], IntegratorConfig(t_max=10.0, sample_dt=1.0, steady_state_tol=1e-30))[0]
@@ -580,7 +578,7 @@ def test_infinite_t_max_keeps_the_start_and_the_final_state():
 
 
 def test_positivity_check_and_flag():
-    g = gen_ring(15, 2)
+    g = build_graph(GraphSpec(family="ring", n=15, k=2))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 15, magnitude=1e-2, seed=2)
     res = simulate_skt(P, g, [init], IntegratorConfig(t_max=50.0, steady_state_tol=1e-30))[0]
@@ -623,7 +621,7 @@ def _assert_same_result(a, b):
 def test_batch_members_equal_their_solo_runs(n, k, t_max):
     # mixed perturbation sizes give the members different step counts and
     # fates (steady state or t_max), so they leave the batch at different steps
-    g = gen_ring(n, k)
+    g = build_graph(GraphSpec(family="ring", n=n, k=k))
     eq = equilibrium(P)
     inits = [perturb_homogeneous(eq, n, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
     cfg = IntegratorConfig(t_max=t_max, steady_state_tol=1e-6)
@@ -640,7 +638,7 @@ def test_batch_members_equal_their_solo_runs(n, k, t_max):
 def test_batch_mixing_rkc_and_dp5_members_equals_their_solo_runs():
     # by t = 20 three of these states have handed over to RKC, at different
     # times, and two have not; one of them converges
-    g = gen_ring(30, 3)
+    g = build_graph(GraphSpec(family="ring", n=30, k=3))
     eq = equilibrium(P)
     inits = [perturb_homogeneous(eq, 30, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
@@ -732,7 +730,7 @@ def test_batch_raises_the_error_of_the_first_failing_member():
 
 def test_results_do_not_depend_on_the_number_of_workers():
     # the mixed DP5 and RKC batch above: its members stop at different steps
-    g = gen_ring(30, 3)
+    g = build_graph(GraphSpec(family="ring", n=30, k=3))
     eq = equilibrium(P)
     inits = [perturb_homogeneous(eq, 30, m, seed=s) for s, m in enumerate((1e-2, 0.3, 1e-4, 0.1, 1e-3))]
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
@@ -764,7 +762,7 @@ def _failing(*depths):
     (_failing(10.0, 0, 2.0, 2.0), 0),
 ])
 def test_a_failing_state_raises_the_serial_error_whatever_the_workers(inits, first):
-    g = gen_ring(30, 3)
+    g = build_graph(GraphSpec(family="ring", n=30, k=3))
     cfg = IntegratorConfig(t_max=20.0, steady_state_tol=1e-6)
 
     def error(states, workers):
@@ -784,7 +782,7 @@ def test_a_worker_count_below_one_is_rejected():
     inits = [np.ones((2, 3))]
     for workers in (0, -1, 1.5):
         with pytest.raises(ValueError, match="workers"):
-            simulate_skt(P, gen_ring(3, 1), inits, workers=workers)
+            simulate_skt(P, build_graph(GraphSpec(family="ring", n=3, k=1)), inits, workers=workers)
 
 
 def test_finished_members_keep_their_samples_once():
@@ -878,7 +876,7 @@ def test_pattern_metrics_known_values():
 
 
 def test_trajectory_csv_layout(tmp_path):
-    g = gen_ring(4, 1)
+    g = build_graph(GraphSpec(family="ring", n=4, k=1))
     eq = equilibrium(P)
     init = perturb_homogeneous(eq, 4, magnitude=1e-2, seed=0)
     res = simulate_skt(P, g, [init], IntegratorConfig(t_max=1.0, sample_dt=0.5, steady_state_tol=1e-30))[0]

@@ -16,10 +16,6 @@ from crossnet import (
     build_laplacian,
     degrees,
     ensemble_specs,
-    gen_lattice,
-    gen_path,
-    gen_ring,
-    gen_random,
     is_connected,
     laplacian_operator,
     write_edge_list,
@@ -112,66 +108,55 @@ def test_graph_equality():
 
 
 def test_ring_small_known_edges():
-    g = gen_ring(4, 1)
+    g = build_graph(GraphSpec(family="ring", n=4, k=1))
     assert np.array_equal(g.edges, [(0, 1), (0, 3), (1, 2), (2, 3)])
 
 
 def test_ring_node_degree_is_twice_k():
-    g = gen_ring(11, 3)
+    g = build_graph(GraphSpec(family="ring", n=11, k=3))
     assert np.all(degrees(g) == 6)
     assert g.n_edges == 11 * 3
 
 
-def test_ring_k_too_large_raises():
-    with pytest.raises(ValueError, match="ring requires"):
-        gen_ring(20, 10)
-    gen_ring(20, 9)  # boundary value is legal
-
-
 def test_path_edges_and_degrees():
-    g = gen_path(5)
+    g = build_graph(GraphSpec(family="path", n=5))
     assert np.array_equal(g.edges, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert list(degrees(g)) == [1, 2, 2, 2, 1]
 
 
 def test_path_two_nodes():
-    assert np.array_equal(gen_path(2).edges, [(0, 1)])
+    assert np.array_equal(build_graph(GraphSpec(family="path", n=2)).edges, [(0, 1)])
 
 
 def test_square_lattice_counts():
-    g = gen_lattice("square", 3, 4)
+    g = build_graph(GraphSpec(family="square-lattice", rows=3, cols=4))
     # edges: rows*(cols-1) horizontal + (rows-1)*cols vertical
     assert g.n_nodes == 12
     assert g.n_edges == 3 * 3 + 2 * 4
 
 
 def test_triangular_lattice_counts():
-    g = gen_lattice("triangular", 3, 4)
+    g = build_graph(GraphSpec(family="triangular-lattice", rows=3, cols=4))
     sq = 3 * 3 + 2 * 4
     assert g.n_edges == sq + 2 * 3  # one diagonal per unit cell
 
 
 def test_triangular_interior_degree_is_six():
-    g = gen_lattice("triangular", 5, 5)
+    g = build_graph(GraphSpec(family="triangular-lattice", rows=5, cols=5))
     deg = degrees(g)
     interior = [r * 5 + c for r in range(1, 4) for c in range(1, 4)]
     assert np.all(deg[interior] == 6)
 
 
 def test_hexagonal_lattice_max_degree_three():
-    g = gen_lattice("hexagonal", 6, 6)
+    g = build_graph(GraphSpec(family="hexagonal-lattice", rows=6, cols=6))
     assert degrees(g).max() == 3
     assert is_connected(g)
 
 
 def test_all_lattices_connected():
     for kind in ("square", "triangular", "hexagonal"):
-        assert is_connected(gen_lattice(kind, 10, 11)), kind
-
-
-def test_lattice_bad_kind():
-    with pytest.raises(ValueError, match="unknown lattice kind"):
-        gen_lattice("cubic", 3, 3)
+        assert is_connected(build_graph(GraphSpec(family=f"{kind}-lattice", rows=10, cols=11))), kind
 
 
 # ------------------------------------------------------------------ GraphSpec
@@ -202,12 +187,46 @@ def test_spec_requires_family_fields():
     ("regular-random", dict(n=4, k=3), dict(n=4, k=4)),
     ("regular-random", dict(n=6, k=3), dict(n=5, k=3)),
     ("barabasi-albert", dict(n=5, k=4), dict(n=5, k=5)),
+    ("ring", dict(n=20, k=9), dict(n=20, k=10)),
 ])
 def test_spec_rejects_family_parameters_that_make_no_graph(family, legal, illegal):
     # each legal spec sits on the boundary of its family's rule
     build_graph(GraphSpec(family=family, **legal))
     with pytest.raises(ValueError, match=f"{family} requires"):
         GraphSpec(family=family, **illegal)
+
+
+# a legal spec of every family, by the size fields it takes
+FAMILY_FIELDS = {
+    "ring": dict(n=7, k=3),
+    "path": dict(n=2),
+    "triangular-lattice": dict(rows=2, cols=3),
+    "square-lattice": dict(rows=2, cols=3),
+    "hexagonal-lattice": dict(rows=2, cols=3),
+    "regular-random": dict(n=6, k=3),
+    "watts-strogatz": dict(n=7, k=3, p=0.1),
+    "erdos-renyi": dict(n=5, p=0.5),
+    "barabasi-albert": dict(n=5, k=2),
+}
+
+
+@pytest.mark.parametrize("field", ["n", "k", "p", "rows", "cols"])
+@pytest.mark.parametrize("family", graphs.FAMILIES)
+def test_spec_names_each_size_field_a_family_takes_or_does_not(family, field):
+    takes = FAMILY_FIELDS[family]
+    assert build_graph(GraphSpec(family=family, **takes)).n_nodes >= 2
+    if field in takes:
+        with pytest.raises(ValueError, match=f"^{family} requires ") as info:
+            GraphSpec(family=family, **{name: value for name, value in takes.items() if name != field})
+    else:
+        with pytest.raises(ValueError, match=f"^{family} (does not take|takes rows/cols, not) ") as info:
+            GraphSpec(family=family, **takes, **{field: 0.5 if field == "p" else 3})
+    assert field in str(info.value)
+
+
+def test_families_split_into_deterministic_and_random():
+    assert graphs.FAMILIES == graphs.DETERMINISTIC_FAMILIES + graphs.RANDOM_FAMILIES
+    assert graphs.RANDOM_FAMILIES == ("regular-random", "watts-strogatz", "erdos-renyi", "barabasi-albert")
 
 
 def test_build_graph_dispatch():
@@ -222,11 +241,11 @@ def test_build_graph_dispatch():
 def test_watts_strogatz_p_zero_is_exactly_the_ring():
     for seed in (0, 1, 17):
         g = build_graph(GraphSpec(family="watts-strogatz", n=30, k=4, p=0.0, seed=seed))
-        assert g == gen_ring(30, 4)
+        assert g == build_graph(GraphSpec(family="ring", n=30, k=4))
 
 
 def test_watts_strogatz_preserves_edge_count():
-    base = gen_ring(40, 3).n_edges
+    base = build_graph(GraphSpec(family="ring", n=40, k=3)).n_edges
     for p in (0.1, 0.5, 1.0):
         g = build_graph(GraphSpec(family="watts-strogatz", n=40, k=3, p=p, seed=5))
         assert g.n_edges == base
@@ -234,7 +253,7 @@ def test_watts_strogatz_preserves_edge_count():
 
 def test_watts_strogatz_rewires_someting_at_high_p():
     g = build_graph(GraphSpec(family="watts-strogatz", n=40, k=3, p=1.0, seed=5))
-    assert g != gen_ring(40, 3)
+    assert g != build_graph(GraphSpec(family="ring", n=40, k=3))
 
 
 def test_regular_random_degrees():
@@ -305,15 +324,10 @@ def test_random_graphs_deterministic_per_seed():
 def test_require_connected_retries_until_connected():
     # at this p the unconstrained seed-0 draw is disconnected, so the
     # constrained build must have taken at least one retry
-    free = gen_random(GraphSpec(family="erdos-renyi", n=40, p=0.12, seed=0))
+    free = build_graph(GraphSpec(family="erdos-renyi", n=40, p=0.12, seed=0))
     assert not is_connected(free)
-    g = gen_random(GraphSpec(family="erdos-renyi", n=40, p=0.12, seed=0, require_connected=True))
+    g = build_graph(GraphSpec(family="erdos-renyi", n=40, p=0.12, seed=0, require_connected=True))
     assert is_connected(g)
-
-
-def test_gen_random_rejects_deterministic_family():
-    with pytest.raises(ValueError, match="not a random family"):
-        gen_random(GraphSpec(family="ring", n=10, k=1))
 
 
 def test_ensemble_specs_distinct_seeds():
@@ -404,7 +418,7 @@ def test_laplacian_invariants_random_graphs(n, seed, p):
 
 
 def test_is_connected_cases():
-    assert is_connected(gen_path(10))
+    assert is_connected(build_graph(GraphSpec(family="path", n=10)))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, []))
     assert not is_connected(Graph(2, []))
@@ -524,14 +538,14 @@ def test_block_laplacian_matches_the_dense_product(n):
 @pytest.mark.parametrize("kind", ["square", "triangular", "hexagonal"])
 @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 7), (9, 11), (20, 20), (25, 40)])
 def test_block_laplacian_matches_the_dense_product_on_lattices(kind, rows, cols):
-    g = gen_lattice(kind, rows, cols)
+    g = build_graph(GraphSpec(family=f"{kind}-lattice", rows=rows, cols=cols))
     _assert_same_product(BlockLaplacian(g), build_laplacian(g), np.random.default_rng(rows * cols))
 
 
 @pytest.mark.parametrize("n, k", [(97, 3), (400, 20)])
 def test_block_products_of_a_stack_equal_the_solo_products(n, k):
     # rhs passes the fluxes as a transposed (B, n, 2) view of (B, 2, n)
-    op = BlockLaplacian(gen_ring(n, k))
+    op = BlockLaplacian(build_graph(GraphSpec(family="ring", n=n, k=k)))
     flux = np.random.default_rng(n).uniform(0.1, 2.0, (6, 2, n))
     stacked = op @ flux.swapaxes(-1, -2)
     for state, product in zip(flux, stacked):
@@ -540,10 +554,11 @@ def test_block_products_of_a_stack_equal_the_solo_products(n, k):
 
 
 def test_laplacian_operator_keeps_the_dense_matrix_unless_blocks_pay():
-    for g in (gen_ring(100, 10), build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1))):
+    for spec in (GraphSpec(family="ring", n=100, k=10), GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1)):
+        g = build_graph(spec)
         op = laplacian_operator(g)
         assert isinstance(op, np.ndarray) and np.array_equal(op, build_laplacian(g))
-    op = laplacian_operator(gen_ring(400, 20))
+    op = laplacian_operator(build_graph(GraphSpec(family="ring", n=400, k=20)))
     assert isinstance(op, BlockLaplacian)
     assert op.data.shape == (20, 20, 60)  # three 20 x 20 blocks per block row
 
@@ -551,13 +566,13 @@ def test_laplacian_operator_keeps_the_dense_matrix_unless_blocks_pay():
 @pytest.mark.parametrize(
     "g, blockwise",
     [
-        (gen_ring(100, 10), False),
-        (gen_ring(400, 20), True),
-        (gen_path(400), True),
-        (gen_lattice("square", 20, 20), True),
-        (gen_lattice("triangular", 20, 20), True),
-        (gen_lattice("hexagonal", 20, 20), True),
-        (gen_lattice("square", 3, 7), False),
+        (build_graph(GraphSpec(family="ring", n=100, k=10)), False),
+        (build_graph(GraphSpec(family="ring", n=400, k=20)), True),
+        (build_graph(GraphSpec(family="path", n=400)), True),
+        (build_graph(GraphSpec(family="square-lattice", rows=20, cols=20)), True),
+        (build_graph(GraphSpec(family="triangular-lattice", rows=20, cols=20)), True),
+        (build_graph(GraphSpec(family="hexagonal-lattice", rows=20, cols=20)), True),
+        (build_graph(GraphSpec(family="square-lattice", rows=3, cols=7)), False),
         (build_graph(GraphSpec(family="erdos-renyi", n=400, p=0.05, seed=1)), False),
         (build_graph(GraphSpec(family="erdos-renyi", n=50, p=0.0, seed=1)), True),
         (build_graph(GraphSpec(family="erdos-renyi", n=2, p=0.0, seed=1)), True),

@@ -46,9 +46,13 @@ def test_script_writes_the_files_it_names(tmp_path, name, args):
     ("pattern_simulations.py", ("--seeds", "0", "0"), "seeds must be distinct"),
     ("pattern_simulations.py", ("--perturbation", "2"), "perturbation must be >= 0 and < 1"),
     ("pattern_simulations.py", ("--steady-tol", "-1"), "steady_state_tol must be non-negative"),
+    ("random_graph_ensembles.py", ("--family", "erdos-renyi", "--n", "20", "--realizations", "3", "--master-seed", "-1"),
+     "master_seed must be an unsigned 64-bit integer, got -1"),
+    ("ring_sweep.py", ("--n", "30", "--k", "3", "3"), "values must be distinct, got [3, 3]"),
 ], ids=["pattern_simulations", "random_graph_ensembles", "ring_sweep-n2", "ring_sweep-k0", "ring_sweep-k5-n10",
         "lattice_comparison-rows1", "pattern_simulations-repeated-seed", "pattern_simulations-perturbation2",
-        "pattern_simulations-negative-steady-tol"])
+        "pattern_simulations-negative-steady-tol", "random_graph_ensembles-negative-master-seed",
+        "ring_sweep-repeated-k"])
 def test_script_rejects_too_small_n(tmp_path, name, args, reason):
     proc = run_script(tmp_path, name, *args)
     assert proc.returncode == 2

@@ -16,8 +16,6 @@ from crossnet import (
     build_laplacian,
     derive_seed,
     eig_symmetric,
-    gen_path,
-    gen_ring,
     path_spectrum_closed_form,
     ring_spectrum_closed_form,
     write_spectrum_csv,
@@ -44,12 +42,12 @@ def test_triangle_spectrum():
 
 
 def test_four_cycle_spectrum():
-    g = gen_ring(4, 1)
+    g = build_graph(GraphSpec(family="ring", n=4, k=1))
     assert np.allclose(spectrum_of(g), FOUR_CYCLE, atol=1e-12)
 
 
 def test_path_two_spectrum():
-    assert np.allclose(spectrum_of(gen_path(2)), PATH_2, atol=1e-12)
+    assert np.allclose(spectrum_of(build_graph(GraphSpec(family="path", n=2))), PATH_2, atol=1e-12)
 
 
 def test_complete_graph_spectrum():
@@ -120,14 +118,14 @@ def test_eig_rejects_nonsquare():
 
 @pytest.mark.parametrize("n,k", [(5, 1), (10, 2), (20, 3), (100, 10), (101, 7)])
 def test_ring_closed_form_matches_numeric(n, k):
-    numeric = spectrum_of(gen_ring(n, k))
+    numeric = spectrum_of(build_graph(GraphSpec(family="ring", n=n, k=k)))
     closed = ring_spectrum_closed_form(n, k)
     assert np.allclose(np.sort(closed), numeric, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 50])
 def test_path_closed_form_matches_numeric(n):
-    numeric = spectrum_of(gen_path(n))
+    numeric = spectrum_of(build_graph(GraphSpec(family="path", n=n)))
     closed = path_spectrum_closed_form(n)
     assert np.allclose(np.sort(closed), numeric, atol=1e-8)
 
@@ -153,7 +151,7 @@ def test_ring_spectrum_bounded_by_degree(n):
 
 
 def test_algebraic_connectivity_positive_iff_connected():
-    connected = spectrum_of(gen_path(8))
+    connected = spectrum_of(build_graph(GraphSpec(family="path", n=8)))
     assert connected[1] > 1e-12
     disconnected = spectrum_of(Graph(4, [(0, 1), (2, 3)]))
     assert abs(disconnected[1]) < 1e-12
@@ -283,7 +281,7 @@ def test_stats_from_eigenvalues_rejects_wrong_shape():
 
 
 def test_spectrum_csv_round_trip(tmp_path):
-    eigs = spectrum_of(gen_ring(10, 2))
+    eigs = spectrum_of(build_graph(GraphSpec(family="ring", n=10, k=2)))
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(eigs, path)
     lines = path.read_text().strip().splitlines()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, gen_ring, integrate_batch, textio
+from crossnet import DEFAULT_SKT_PARAMS, GraphSpec, IntegratorConfig, build_graph, integrate_batch, textio
 from crossnet.dynamics import write_final_state_csv, write_trajectory_csv
 from crossnet.experiments import EnsembleRow, SweepSpec, ring_sweep, write_ensemble_report, write_ring_sweep
 from crossnet.graphs import write_edge_list
@@ -72,7 +72,7 @@ def test_ring_sweep_summary_leaves_an_absent_window_cell_empty(tmp_path, d12, ab
 
 def test_write_table_blocks_do_not_change_the_text(tmp_path, monkeypatch):
     # a block boundary inside the rows, at a row's end, and one value per block
-    g = gen_ring(9, 2)
+    g = build_graph(GraphSpec(family="ring", n=9, k=2))
     state = np.array([CELLS, CELLS[::-1]])
     texts = []
     for block in (1 << 14, 1, 3, 6, 7):
